@@ -12,7 +12,6 @@
 #include "src/rl/smdp.hpp"
 #include "src/rl/tabular_q.hpp"
 #include "src/sim/cluster.hpp"
-#include "src/sim/sharded_cluster.hpp"
 #include "src/telemetry/registry.hpp"
 #include "src/workload/generator.hpp"
 
@@ -92,10 +91,10 @@ void run_gemm_grid(benchmark::State& state) {
 }
 void BM_GemmF64(benchmark::State& state) { run_gemm_grid<double>(state); }
 BENCHMARK(BM_GemmF64)->Args({512, 32, 1})->Args({512, 32, 2})->Args({512, 512, 1})
-    ->Args({512, 512, 2})->Args({512, 512, 4});
+    ->Args({512, 512, 2})->Args({512, 512, 4})->UseRealTime();
 void BM_GemmF32(benchmark::State& state) { run_gemm_grid<float>(state); }
 BENCHMARK(BM_GemmF32)->Args({512, 32, 1})->Args({512, 32, 2})->Args({512, 512, 1})
-    ->Args({512, 512, 2})->Args({512, 512, 4});
+    ->Args({512, 512, 2})->Args({512, 512, 4})->UseRealTime();
 
 // The acceptance benchmark for the batched path: one DQN SGD step on a
 // 32-transition minibatch, per-sample loop vs batched GEMM path — and the
@@ -149,12 +148,12 @@ BENCHMARK(BM_DqnTrainStepBatchedF32);
 void BM_DqnTrainStepBatchedT2(benchmark::State& state) {
   run_dqn_train_step(state, true, nn::Precision::kF64, 2);
 }
-BENCHMARK(BM_DqnTrainStepBatchedT2);
+BENCHMARK(BM_DqnTrainStepBatchedT2)->UseRealTime();
 
 void BM_DqnTrainStepBatchedF32T2(benchmark::State& state) {
   run_dqn_train_step(state, true, nn::Precision::kF32, 2);
 }
-BENCHMARK(BM_DqnTrainStepBatchedF32T2);
+BENCHMARK(BM_DqnTrainStepBatchedF32T2)->UseRealTime();
 
 // Batched LSTM sweep vs running the same windows one at a time — the
 // predictor's multi-window prediction path.
@@ -218,9 +217,9 @@ void run_lstm_sweep_grid(benchmark::State& state) {
                           static_cast<std::int64_t>(lookback * batch));
 }
 void BM_LstmSweepF64(benchmark::State& state) { run_lstm_sweep_grid<double>(state); }
-BENCHMARK(BM_LstmSweepF64)->Args({8, 1})->Args({32, 1})->Args({32, 2});
+BENCHMARK(BM_LstmSweepF64)->Args({8, 1})->Args({32, 1})->Args({32, 2})->UseRealTime();
 void BM_LstmSweepF32(benchmark::State& state) { run_lstm_sweep_grid<float>(state); }
-BENCHMARK(BM_LstmSweepF32)->Args({8, 1})->Args({32, 1})->Args({32, 2});
+BENCHMARK(BM_LstmSweepF32)->Args({8, 1})->Args({32, 1})->Args({32, 2})->UseRealTime();
 
 void BM_GroupedQInference(benchmark::State& state) {
   common::Rng rng(1);
@@ -377,43 +376,10 @@ void BM_SimulatorEventThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorEventThroughput)->Unit(benchmark::kMillisecond);
 
-void BM_ShardedEventThroughput(benchmark::State& state) {
-  // Events/sec of the sharded engine at cluster scale: 10k servers,
-  // round-robin + 30 s fixed timeout (trace-only routing, so the parallel
-  // engine pre-routes arrivals and the shards run barrier-free). Each job
-  // contributes >= 4 events (arrival, finish, timeout, sleep/wake), so 250k
-  // jobs clears one million events per iteration. Items/s == events/s; arg
-  // is the shard count (1 = sharded engine overhead baseline).
-  const auto num_shards = static_cast<std::size_t>(state.range(0));
-  workload::GeneratorOptions g;
-  g.num_jobs = 250000;
-  g.horizon_s = 250000.0 * 0.02;  // dense arrivals keep 10k servers cycling
-  g.seed = 11;
-  const auto jobs = workload::GoogleTraceGenerator(g).generate();
-  std::int64_t total_events = 0;
-  for (auto _ : state) {
-    sim::RoundRobinAllocator alloc;
-    sim::FixedTimeoutPolicy power(30.0);
-    sim::ShardedClusterConfig cfg;
-    cfg.cluster.num_servers = 10000;
-    cfg.cluster.keep_job_records = false;
-    cfg.cluster.server.t_on = 30.0;
-    cfg.cluster.server.t_off = 10.0;
-    cfg.num_shards = num_shards;
-    cfg.execution = sim::ShardedClusterConfig::Execution::kParallel;
-    sim::ShardedCluster cluster(cfg, alloc, power);
-    cluster.load_jobs(jobs);
-    cluster.run();
-    total_events += static_cast<std::int64_t>(cluster.events_processed());
-  }
-  state.SetItemsProcessed(total_events);
-}
-BENCHMARK(BM_ShardedEventThroughput)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
-
 void BM_TelemetryCounter(benchmark::State& state) {
   // Cost of the telemetry::count hot helper, disabled (arg 0: the tax every
   // instrumentation site pays in a normal run — a relaxed load + branch) and
-  // enabled (arg 1: relaxed fetch_add on the thread's shard slab).
+  // enabled (arg 1: relaxed fetch_add on the thread's slab).
   const bool on = state.range(0) != 0;
   telemetry::set_enabled(on);
   const telemetry::MetricId id = telemetry::global_registry().counter("bench.telemetry_counter");
@@ -426,38 +392,31 @@ void BM_TelemetryCounter(benchmark::State& state) {
 }
 BENCHMARK(BM_TelemetryCounter)->Arg(0)->Arg(1);
 
-void BM_TelemetryShardedEventThroughput(benchmark::State& state) {
-  // BM_ShardedEventThroughput/2 with full metric collection enabled: the
-  // end-to-end telemetry overhead story (per-event counters on the shard
-  // drain hot path plus the flush/sync instrumentation). Compare items/s
-  // against the telemetry-off cell above.
+void BM_TelemetryEventThroughput(benchmark::State& state) {
+  // BM_SimulatorEventThroughput with full metric collection enabled: the
+  // end-to-end telemetry overhead story (per-event counters on the step hot
+  // path plus the flush instrumentation). Compare items/s against that cell.
   workload::GeneratorOptions g;
-  g.num_jobs = 250000;
-  g.horizon_s = 250000.0 * 0.02;
-  g.seed = 11;
+  g.num_jobs = 5000;
+  g.horizon_s = 5000.0 * 6.4;
   const auto jobs = workload::GoogleTraceGenerator(g).generate();
   telemetry::set_enabled(true);
   std::int64_t total_events = 0;
   for (auto _ : state) {
     sim::RoundRobinAllocator alloc;
-    sim::FixedTimeoutPolicy power(30.0);
-    sim::ShardedClusterConfig cfg;
-    cfg.cluster.num_servers = 10000;
-    cfg.cluster.keep_job_records = false;
-    cfg.cluster.server.t_on = 30.0;
-    cfg.cluster.server.t_off = 10.0;
-    cfg.num_shards = 2;
-    cfg.execution = sim::ShardedClusterConfig::Execution::kParallel;
-    sim::ShardedCluster cluster(cfg, alloc, power);
+    sim::AlwaysOnPolicy power;
+    sim::ClusterConfig cfg;
+    cfg.num_servers = 30;
+    cfg.keep_job_records = false;
+    sim::Cluster cluster(cfg, alloc, power);
     cluster.load_jobs(jobs);
-    cluster.run();
-    total_events += static_cast<std::int64_t>(cluster.events_processed());
+    while (cluster.step()) ++total_events;
   }
   telemetry::set_enabled(false);
   telemetry::global_registry().reset();
   state.SetItemsProcessed(total_events);
 }
-BENCHMARK(BM_TelemetryShardedEventThroughput)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TelemetryEventThroughput)->Unit(benchmark::kMillisecond);
 
 void BM_StateEncoding(benchmark::State& state) {
   core::StateEncoderOptions o;

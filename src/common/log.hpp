@@ -18,7 +18,7 @@ LogLevel log_level();
 /// prefixes the line with the calling thread's tag: `[LEVEL][tag] msg`.
 void log_message(LogLevel level, const std::string& msg);
 
-/// Set the calling thread's log tag (e.g. "shard-3", "runner-1"). The
+/// Set the calling thread's log tag (e.g. "runner-1"). The
 /// default tag is "main" for the first thread to log and "t<N>" for later
 /// ones, N assigned in first-log order.
 void set_log_thread_tag(const std::string& tag);

@@ -4,7 +4,7 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "src/sim/cluster_view.hpp"
+#include "src/sim/cluster.hpp"
 
 namespace hcrl::core {
 

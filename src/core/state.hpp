@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "src/nn/matrix.hpp"
-#include "src/sim/cluster_view.hpp"
+#include "src/sim/cluster.hpp"
 
 namespace hcrl::core {
 

@@ -1,6 +1,5 @@
 #include "src/sim/cluster.hpp"
 
-#include <limits>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -34,7 +33,6 @@ Cluster::Cluster(const ClusterConfig& cfg, std::vector<ServerConfig> per_server,
     per_server[i].validate();
     servers_.emplace_back(i, per_server[i], &metrics_);
   }
-  set_server_view({servers_.data(), servers_.size()});
 }
 
 void Cluster::install_faults(FaultInjector* faults) {
@@ -52,11 +50,6 @@ void Cluster::install_faults(FaultInjector* faults) {
 
 void Cluster::load_jobs(std::vector<Job> jobs) {
   if (jobs_loaded_) throw std::logic_error("Cluster::load_jobs: already loaded");
-  // Arrival events carry the jobs_ index in their JobId-typed `job` field, so
-  // a trace larger than JobId's range would silently alias indices. Fail loud.
-  if (jobs.size() > static_cast<std::size_t>(std::numeric_limits<JobId>::max())) {
-    throw std::invalid_argument("Cluster::load_jobs: trace exceeds JobId index range");
-  }
   std::unordered_set<JobId> ids;
   ids.reserve(jobs.size());
   Time prev = 0.0;
@@ -68,13 +61,8 @@ void Cluster::load_jobs(std::vector<Job> jobs) {
   }
   jobs_ = std::move(jobs);
   jobs_loaded_ = true;
-  // The `job` field of an arrival event is the *index* into jobs_.
-  for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    queue_.push(jobs_[i].arrival, EventType::kJobArrival, /*server=*/0,
-                static_cast<JobId>(i));
-  }
-  // Fault-plan events take the next seq block: at equal timestamps they
-  // lose to trace arrivals (lower seqs) and win against runtime events.
+  // Fault-plan events enter the heap before any runtime event, so they hold
+  // the lowest seqs and win equal-time ties against everything in the heap.
   if (faults_ != nullptr) {
     for (const FaultEvent& f : faults_->plan().events) {
       queue_.push(f.time, to_event_type(f.kind), f.server);
@@ -82,65 +70,60 @@ void Cluster::load_jobs(std::vector<Job> jobs) {
   }
 }
 
+Cluster::Next Cluster::next_event() const {
+  Next next;
+  if (!queue_.empty()) next = {Source::kHeap, queue_.top().time};
+  if (faults_ != nullptr && faults_->has_pending_retry()) {
+    const Time t = faults_->next_retry_time();
+    if (next.source == Source::kNone || t <= next.time) next = {Source::kRetry, t};
+  }
+  if (next_arrival_ < jobs_.size()) {
+    const Time t = jobs_[next_arrival_].arrival;
+    if (next.source == Source::kNone || t <= next.time) next = {Source::kArrival, t};
+  }
+  return next;
+}
+
 bool Cluster::step() {
   // Decision-epoch boundary: decisions staged via PowerPolicy::defer_idle
   // must be committed before any event that could observe their outcome —
   // a time advance (a staged timeout may schedule an event earlier than the
   // current heap top), any job arrival (the global tier's state encoding
-  // reads every server's power state), or queue drain. Same-time non-arrival
-  // events touch only their own server's state and the staged decisions touch
-  // only theirs, so they commute with the staged requests and may extend the
+  // reads every server's power state), or drain. Same-time heap events touch
+  // only their own server's state and the staged decisions touch only
+  // theirs, so they commute with the staged requests and may extend the
   // epoch — that is where the cross-server batching comes from.
   // Fault-injected retries are re-arrivals, so for the barrier they count
-  // exactly like arrival events (and a pending retry means the simulation
-  // is not drained).
-  bool retry_next = retry_outranks_heap();
+  // exactly like trace arrivals.
+  Next next = next_event();
   if (power_policy_.has_staged_decisions()) {
-    const bool drained = queue_.empty() && !retry_next;
-    const Time next_time =
-        retry_next ? faults_->next_retry_time() : (queue_.empty() ? now_ : queue_.top().time);
-    const bool arrival_next =
-        retry_next || (!queue_.empty() && queue_.top().type == EventType::kJobArrival);
-    if (drained || next_time != now_ || arrival_next) {
-      count_flush(drained        ? FlushReason::kDrain
-                  : arrival_next ? FlushReason::kArrival
-                                 : FlushReason::kTimeAdvance);
+    const bool arrival_next = next.source == Source::kArrival || next.source == Source::kRetry;
+    if (next.source == Source::kNone || next.time != now_ || arrival_next) {
+      count_flush(next.source == Source::kNone ? FlushReason::kDrain
+                  : arrival_next               ? FlushReason::kArrival
+                                               : FlushReason::kTimeAdvance);
       power_policy_.flush_decisions();  // may push events at times >= now_
-      retry_next = retry_outranks_heap();
+      next = next_event();
     }
   }
-  if (retry_next) {
-    const FaultInjector::Retry r = faults_->pop_retry();
-    if (r.time < now_) throw std::logic_error("Cluster: time went backwards");
-    now_ = r.time;
-    dispatch_arrival(r.job);
-    if (telemetry::enabled()) telemetry::count(SimMetrics::get().events);
-    return true;
-  }
-  if (queue_.empty()) {
+  if (next.source == Source::kNone) {
     if (!finished_notified_) {
       finished_notified_ = true;
       allocation_.on_simulation_end(*this, now_);
     }
     return false;
   }
-  const Event e = queue_.pop();
-  if (e.time < now_) throw std::logic_error("Cluster: time went backwards");
-  now_ = e.time;
-  handle(e);
+  if (next.time < now_) throw std::logic_error("Cluster: time went backwards");
+  now_ = next.time;
+  if (next.source == Source::kArrival) {
+    dispatch_arrival(jobs_[next_arrival_++]);
+  } else if (next.source == Source::kRetry) {
+    dispatch_arrival(faults_->pop_retry().job);
+  } else {
+    handle(queue_.pop());
+  }
   if (telemetry::enabled()) telemetry::count(SimMetrics::get().events);
   return true;
-}
-
-bool Cluster::retry_outranks_heap() const {
-  if (faults_ == nullptr || !faults_->has_pending_retry()) return false;
-  if (queue_.empty()) return true;
-  const Event& top = queue_.top();
-  const Time rt = faults_->next_retry_time();
-  if (rt != top.time) return rt < top.time;
-  // Equal-time precedence: trace arrival, then retry, then anything else.
-  // (Retries never enter the heap, so a kJobArrival top is a trace arrival.)
-  return top.type != EventType::kJobArrival;
 }
 
 void Cluster::run() {
@@ -163,9 +146,6 @@ void Cluster::run_until_completed(std::size_t n) {
 
 void Cluster::handle(const Event& e) {
   switch (e.type) {
-    case EventType::kJobArrival:
-      dispatch_arrival(jobs_.at(static_cast<std::size_t>(e.job)));
-      break;
     case EventType::kJobFinish:
       servers_.at(e.server).handle_job_finish(e.job, now_, queue_, power_policy_, e.generation);
       break;

@@ -5,12 +5,22 @@
 // every idle-entry is a local-tier decision epoch. `step()` processes one
 // event so callers can checkpoint metrics at any granularity (the figures
 // plot metrics versus number-of-jobs).
+//
+// Events come from three sources: a cursor over the sorted trace (arrivals
+// never enter the heap), the fault injector's retry stream, and the event
+// heap (server-local events and the fault plan). At equal timestamps the
+// trace arrival goes first, then the retry, then the heap event.
+//
+// Policies observe the running engine through `const ClusterView&`, an alias
+// of this class declared in policies.hpp.
 #pragma once
 
-#include <memory>
+#include <cstddef>
+#include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
-#include "src/sim/cluster_view.hpp"
 #include "src/sim/event_queue.hpp"
 #include "src/sim/fault/fault.hpp"
 #include "src/sim/metrics.hpp"
@@ -28,7 +38,7 @@ struct ClusterConfig {
   void validate() const;
 };
 
-class Cluster final : public ClusterView {
+class Cluster {
  public:
   /// Policies are borrowed and must outlive the cluster.
   Cluster(const ClusterConfig& cfg, AllocationPolicy& allocation, PowerPolicy& power);
@@ -46,39 +56,52 @@ class Cluster final : public ClusterView {
   /// fault plan into the event queue.
   void install_faults(FaultInjector* faults);
 
-  /// Load the trace. Jobs must be sorted by arrival time and have unique
-  /// ids; throws otherwise. May only be called once, before stepping.
+  /// Load the trace. Jobs must pass Job::validate (finite fields), be
+  /// sorted by arrival time and have unique ids; throws otherwise. May only
+  /// be called once, before stepping.
   void load_jobs(std::vector<Job> jobs);
 
-  /// Process one event; returns false when the event queue is empty.
+  /// Process one event; returns false once every source has drained.
   bool step();
   /// Run until all events (arrivals + completions + transitions) drain.
   void run();
   /// Run until at least `n` jobs have completed (or events drain).
   void run_until_completed(std::size_t n);
 
-  Time now() const noexcept override { return now_; }
-  const std::vector<Job>& jobs() const noexcept { return jobs_; }
+  /// Current simulation time (the time of the last processed event).
+  Time now() const noexcept { return now_; }
+
+  /// All servers, indexed by ServerId. Encoders and heuristics scan these
+  /// on every decision.
+  std::span<const Server> servers() const noexcept { return servers_; }
+  std::size_t num_servers() const noexcept { return servers_.size(); }
+  const Server& server(std::size_t i) const {
+    if (i >= servers_.size()) {
+      throw std::out_of_range("Cluster::server: id " + std::to_string(i) + " out of range");
+    }
+    return servers_[i];
+  }
+  /// True when server i is crash-failed. Policies must exclude such
+  /// servers from placement; the engine bounces placements into them.
+  bool server_failed(std::size_t i) const { return server(i).failed(); }
 
   ClusterMetrics& metrics() noexcept { return metrics_; }
   const ClusterMetrics& metrics() const noexcept { return metrics_; }
   MetricsSnapshot snapshot() const { return metrics_.snapshot(now_); }
 
-  // ClusterView aggregate queries, answered from the metrics accumulators.
-  double energy_joules(Time t) const override { return metrics_.energy_joules(t); }
-  double jobs_in_system_integral(Time t) const override {
-    return metrics_.jobs_in_system_integral(t);
-  }
-  double reliability_integral(Time t) const override { return metrics_.reliability_integral(t); }
-  std::size_t jobs_arrived() const noexcept override { return metrics_.jobs_arrived(); }
-  std::size_t jobs_completed() const noexcept override { return metrics_.jobs_completed(); }
+  // ---- exact metric integrals (the Eqn. 4 reward signals) ------------------
+  double energy_joules(Time t) const { return metrics_.energy_joules(t); }
+  double jobs_in_system_integral(Time t) const { return metrics_.jobs_in_system_integral(t); }
+  double reliability_integral(Time t) const { return metrics_.reliability_integral(t); }
+  std::size_t jobs_arrived() const noexcept { return metrics_.jobs_arrived(); }
+  std::size_t jobs_completed() const noexcept { return metrics_.jobs_completed(); }
 
   /// Sum of CPU utilizations across servers divided by M (cluster load); O(1).
-  double mean_cpu_utilization() const override;
+  double mean_cpu_utilization() const;
   /// Number of servers currently powered on (active or idle); O(1).
-  std::size_t servers_on() const override;
-  /// Number of servers currently crash-failed; O(1).
-  std::size_t servers_failed() const override { return metrics_.servers_failed(); }
+  std::size_t servers_on() const;
+  /// Number of servers currently crash-failed (0 when faults are off); O(1).
+  std::size_t servers_failed() const { return metrics_.servers_failed(); }
   /// Brute-force O(M) rescans of the same quantities. Tests pin the
   /// incremental counters against these; production code should not call them.
   double mean_cpu_utilization_scan() const;
@@ -87,15 +110,21 @@ class Cluster final : public ClusterView {
   const ClusterConfig& config() const noexcept { return cfg_; }
 
  private:
+  enum class Source { kNone, kArrival, kRetry, kHeap };
+  struct Next {
+    Source source = Source::kNone;
+    Time time = 0.0;
+  };
+
+  /// The source of the next event, under the equal-time precedence
+  /// trace arrival, then retry, then heap event.
+  Next next_event() const;
   void handle(const Event& e);
   /// Route a (trace or retry) arrival to the selected server, bouncing it
   /// into the retry stream when the target has crash-failed.
   void dispatch_arrival(const Job& job);
   /// Re-queue jobs revoked by a crash/eviction through the retry policy.
   void requeue_killed(const std::vector<Job>& killed);
-  /// True when the pending retry stream outranks the heap top: strictly
-  /// earlier, or equal-time against anything but a trace arrival.
-  bool retry_outranks_heap() const;
 
   ClusterConfig cfg_;
   AllocationPolicy& allocation_;
@@ -104,6 +133,7 @@ class Cluster final : public ClusterView {
   std::vector<Server> servers_;
   EventQueue queue_;
   std::vector<Job> jobs_;
+  std::size_t next_arrival_ = 0;  // cursor into jobs_
   FaultInjector* faults_ = nullptr;  // not owned; null = faults off
   bool jobs_loaded_ = false;
   bool finished_notified_ = false;

@@ -10,17 +10,16 @@
 //    does not change when servers are added (existing streams are stable)
 //    and generation order is irrelevant. The plan is sorted by
 //    (time, server, kind) and injected as ordinary EventQueue events at
-//    load time, so fault events occupy a contiguous block of low sequence
-//    numbers: at equal timestamps they lose to trace arrivals (which hold
-//    the lowest seqs) and win against runtime events — on the serial engine
-//    and on every lockstep shard count alike.
+//    load time, so fault events hold the lowest sequence numbers: at equal
+//    timestamps they lose to trace arrivals (streamed ahead of the heap) and
+//    win against runtime events.
 //
 //  * Retries do NOT go through the event heap. They live in a dedicated
-//    (time, seq) min-heap inside the FaultInjector, and both engines give
+//    (time, seq) min-heap inside the FaultInjector, and the engine gives
 //    them a fixed precedence at equal timestamps: trace arrival, then
-//    retry, then heap event. Because kills and bounces happen at globally
-//    ordered points, the retry heap's insertion order — and therefore every
-//    tie-break — is identical across engines and shard counts.
+//    retry, then heap event. Kills and bounces happen at totally ordered
+//    events, so the retry heap's insertion order — and therefore every
+//    tie-break — is deterministic.
 //
 //  * Backoff is a pure function of (seed, job id, attempt): capped
 //    exponential with deterministic jitter. Re-running a scenario replays
@@ -77,7 +76,7 @@ enum class FaultKind : std::uint8_t {
 
 const char* to_string(FaultKind kind) noexcept;
 
-/// Map a plan entry onto the engines' event vocabulary.
+/// Map a plan entry onto the engine's event vocabulary.
 EventType to_event_type(FaultKind kind) noexcept;
 
 struct FaultEvent {
@@ -97,8 +96,7 @@ struct FaultPlan {
 };
 
 /// Owns the plan plus the deterministic retry stream. One per run; shared
-/// by the engine via install_faults(). Not thread-safe (lockstep engines
-/// only — ShardedCluster rejects faults in kParallel mode).
+/// by the engine via install_faults(). Not thread-safe.
 class FaultInjector {
  public:
   FaultInjector(const FaultConfig& cfg, FaultPlan plan);

@@ -1,6 +1,6 @@
 #include "src/sim/policies.hpp"
 
-#include "src/sim/cluster_view.hpp"
+#include "src/sim/cluster.hpp"
 #include "src/sim/server.hpp"
 
 namespace hcrl::sim {

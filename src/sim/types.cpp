@@ -1,6 +1,7 @@
 #include "src/sim/types.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 namespace hcrl::sim {
@@ -48,11 +49,16 @@ std::string ResourceVector::to_string() const {
 }
 
 void Job::validate(std::size_t expected_dims) const {
-  if (duration <= 0.0) throw std::invalid_argument("Job: duration must be > 0");
-  if (arrival < 0.0) throw std::invalid_argument("Job: arrival must be >= 0");
+  // Written so NaN fails every test: each comparison with NaN is false.
+  if (!(std::isfinite(duration) && duration > 0.0)) {
+    throw std::invalid_argument("Job: duration must be finite and > 0");
+  }
+  if (!(std::isfinite(arrival) && arrival >= 0.0)) {
+    throw std::invalid_argument("Job: arrival must be finite and >= 0");
+  }
   if (demand.dims() != expected_dims) throw std::invalid_argument("Job: wrong demand dims");
   for (std::size_t i = 0; i < demand.dims(); ++i) {
-    if (demand[i] < 0.0 || demand[i] > 1.0) {
+    if (!(demand[i] >= 0.0 && demand[i] <= 1.0)) {
       throw std::invalid_argument("Job: demand component out of [0,1]");
     }
   }

@@ -24,7 +24,11 @@ std::string to_string(MetricKind kind) {
 
 double MetricValue::quantile(double q) const {
   if (kind != MetricKind::kHistogram || count == 0) return 0.0;
-  return common::quantile_from_bins(bins, bounds, q);
+  // Interpolation inside a bin can land outside what was observed (one
+  // 10.36 s sample in a [5, 20) bin reads 12.5); the exact range bounds it.
+  // min > max only when a snapshot raced the first sample's extrema update.
+  const double x = common::quantile_from_bins(bins, bounds, q);
+  return min <= max ? std::clamp(x, min, max) : x;
 }
 
 const MetricValue* RegistrySnapshot::find(const std::string& name) const noexcept {
@@ -87,6 +91,27 @@ MetricId MetricRegistry::define(const std::string& name, MetricKind kind,
   return static_cast<MetricId>(num_defs_++);
 }
 
+namespace {
+
+/// CAS `x` into `cell` (double bits) while `better(x, current)` holds.
+template <class Better>
+void cas_extremum(std::atomic<std::uint64_t>& cell, double x, Better better) noexcept {
+  std::uint64_t old_bits = cell.load(std::memory_order_relaxed);
+  while (better(x, std::bit_cast<double>(old_bits)) &&
+         !cell.compare_exchange_weak(old_bits, std::bit_cast<std::uint64_t>(x),
+                                     std::memory_order_relaxed)) {
+  }
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+}  // namespace
+
+void MetricRegistry::Slab::clear_extrema() noexcept {
+  for (auto& a : min_bits) a.store(std::bit_cast<std::uint64_t>(kInf), std::memory_order_relaxed);
+  for (auto& a : max_bits) a.store(std::bit_cast<std::uint64_t>(-kInf), std::memory_order_relaxed);
+}
+
 MetricRegistry::Slab& MetricRegistry::create_slab(std::size_t shard) noexcept {
   std::lock_guard<std::mutex> lock(mutex_);
   Slab* s = slabs_[shard].load(std::memory_order_acquire);
@@ -106,6 +131,8 @@ void MetricRegistry::observe(std::size_t shard, MetricId id, double x) noexcept 
       std::upper_bound(d.bounds.begin(), d.bounds.end(), x) - d.bounds.begin());
   s.bins[d.bin_offset + bin].fetch_add(1, std::memory_order_relaxed);
   s.count[id].fetch_add(1, std::memory_order_relaxed);
+  cas_extremum(s.min_bits[id], x, [](double a, double b) { return a < b; });
+  cas_extremum(s.max_bits[id], x, [](double a, double b) { return a > b; });
   // CAS-accumulate the double sum in the fbits cell.
   std::uint64_t old_bits = s.fbits[id].load(std::memory_order_relaxed);
   while (true) {
@@ -128,7 +155,9 @@ RegistrySnapshot MetricRegistry::snapshot() const {
     v.kind = d.kind;
     v.bounds = d.bounds;
     if (d.kind == MetricKind::kHistogram) v.bins.assign(d.bounds.size() + 1, 0);
-    double gauge_max = -std::numeric_limits<double>::infinity();
+    double gauge_max = -kInf;
+    double sample_min = kInf;
+    double sample_max = -kInf;
     for (std::size_t shard = 0; shard < kMaxShards; ++shard) {
       const Slab* s = slabs_[shard].load(std::memory_order_acquire);
       if (s == nullptr) continue;
@@ -148,11 +177,19 @@ RegistrySnapshot MetricRegistry::snapshot() const {
           for (std::size_t b = 0; b < v.bins.size(); ++b) {
             v.bins[b] += s->bins[d.bin_offset + b].load(std::memory_order_relaxed);
           }
+          sample_min = std::min(
+              sample_min, std::bit_cast<double>(s->min_bits[i].load(std::memory_order_relaxed)));
+          sample_max = std::max(
+              sample_max, std::bit_cast<double>(s->max_bits[i].load(std::memory_order_relaxed)));
           break;
       }
     }
     if (d.kind == MetricKind::kCounter) v.value = static_cast<double>(v.count);
     if (d.kind == MetricKind::kGauge) v.value = v.count > 0 ? gauge_max : 0.0;
+    if (d.kind == MetricKind::kHistogram && v.count > 0) {
+      v.min = sample_min;
+      v.max = sample_max;
+    }
     snap.metrics.push_back(std::move(v));
   }
   std::sort(snap.metrics.begin(), snap.metrics.end(),
@@ -168,6 +205,7 @@ void MetricRegistry::reset() noexcept {
     for (auto& a : s->count) a.store(0, std::memory_order_relaxed);
     for (auto& a : s->fbits) a.store(0, std::memory_order_relaxed);
     for (auto& a : s->bins) a.store(0, std::memory_order_relaxed);
+    s->clear_extrema();
   }
 }
 

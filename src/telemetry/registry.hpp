@@ -9,13 +9,13 @@
 //    load + branch (BM_TelemetryCounter commits the number to
 //    BENCH_micro.json).
 //  - Shard-local accumulation: writers bind a shard slab (ShardScope) and
-//    increment plain relaxed atomics in it, so concurrent writers — runner
-//    workers, sharded-cluster shard threads — never contend on one cache
-//    line. Sharing a slab is still safe (cells are atomic), just slower.
+//    increment plain relaxed atomics in it, so concurrent writers (runner
+//    workers) never contend on one cache line. Sharing a slab is still safe
+//    (cells are atomic), just slower.
 //  - Deterministic merge: snapshot() folds the shard slabs in shard-index
 //    order. Counter values and histogram bin counts are integer sums, so the
 //    merged snapshot is invariant to how increments were distributed across
-//    shards (tested across shard counts); gauges merge by maximum.
+//    slabs (tested across slab counts); gauges merge by maximum.
 //
 // Metric definitions are process-lifetime and idempotent by name: any module
 // may `global_registry().counter("sim.events")` from a function-local static
@@ -57,8 +57,12 @@ struct MetricValue {
   /// bin is the >= bounds.back() overflow).
   std::vector<double> bounds;
   std::vector<std::uint64_t> bins;
+  /// Histogram only: exact smallest and largest sample (0 when empty).
+  double min = 0.0;
+  double max = 0.0;
 
-  /// Histogram quantile via common::quantile_from_bins; 0 when empty.
+  /// Histogram quantile via common::quantile_from_bins, clamped to the
+  /// observed [min, max]; 0 when empty.
   double quantile(double q) const;
 };
 
@@ -100,7 +104,7 @@ class MetricRegistry {
     slab(shard).count[id].fetch_add(n, std::memory_order_relaxed);
   }
 
-  /// Record a gauge value: last set wins within a shard; shards merge by max.
+  /// Record a gauge value: last set wins within a slab; slabs merge by max.
   void set_gauge(std::size_t shard, MetricId id, double v) noexcept {
     Slab& s = slab(shard);
     s.fbits[id].store(std::bit_cast<std::uint64_t>(v), std::memory_order_relaxed);
@@ -119,9 +123,16 @@ class MetricRegistry {
 
  private:
   struct Slab {
+    Slab() noexcept { clear_extrema(); }
+    /// Reset the histogram min/max cells to their empty (+inf / -inf) state.
+    void clear_extrema() noexcept;
+
     std::array<std::atomic<std::uint64_t>, kMaxMetrics> count{};
     /// Gauge value bits / histogram sum bits (CAS-accumulated).
     std::array<std::atomic<std::uint64_t>, kMaxMetrics> fbits{};
+    /// Histogram min / max sample bits (CAS-updated).
+    std::array<std::atomic<std::uint64_t>, kMaxMetrics> min_bits{};
+    std::array<std::atomic<std::uint64_t>, kMaxMetrics> max_bits{};
     std::array<std::atomic<std::uint64_t>, kMaxBins> bins{};
   };
   struct Def {
@@ -167,8 +178,8 @@ MetricRegistry& global_registry();
 std::size_t current_shard() noexcept;
 
 /// Scoped binding of the calling thread to a registry shard. Writers that
-/// may run concurrently (runner workers, shard threads) bind distinct shards
-/// so their increments never share cache lines.
+/// may run concurrently (runner workers) bind distinct slabs so their
+/// increments never share cache lines.
 class ShardScope {
  public:
   explicit ShardScope(std::size_t shard) noexcept;

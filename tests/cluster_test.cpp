@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace hcrl::sim {
 namespace {
@@ -41,6 +44,35 @@ TEST(Cluster, LoadJobsValidation) {
   // Valid load succeeds once and only once.
   EXPECT_NO_THROW(c.load_jobs({make_job(1, 1.0), make_job(2, 2.0)}));
   EXPECT_THROW(c.load_jobs({make_job(3, 3.0)}), std::logic_error);
+}
+
+// Every comparison with NaN is false, so range checks written as `x < 0`
+// would wave a NaN through — and a NaN arrival would also slip past the
+// sortedness check that the arrival cursor relies on.
+TEST(Cluster, LoadJobsRejectsNonFiniteFields) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* field;
+    void (*poison)(Job&, double);
+    double value;
+  };
+  const Case cases[] = {
+      {"arrival", [](Job& j, double v) { j.arrival = v; }, nan},
+      {"arrival", [](Job& j, double v) { j.arrival = v; }, inf},
+      {"duration", [](Job& j, double v) { j.duration = v; }, nan},
+      {"duration", [](Job& j, double v) { j.duration = v; }, inf},
+      {"demand", [](Job& j, double v) { j.demand[1] = v; }, nan},
+  };
+  for (const Case& tc : cases) {
+    SCOPED_TRACE(std::string(tc.field) + " = " + std::to_string(tc.value));
+    RoundRobinAllocator alloc;
+    AlwaysOnPolicy power;
+    Cluster c(small_cluster(), alloc, power);
+    std::vector<Job> jobs = {make_job(1, 1.0), make_job(2, 2.0), make_job(3, 3.0)};
+    tc.poison(jobs[1], tc.value);
+    EXPECT_THROW(c.load_jobs(jobs), std::invalid_argument);
+  }
 }
 
 TEST(Cluster, AllJobsCompleteAndConserve) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace hcrl::core {
 namespace {
@@ -90,6 +91,18 @@ TEST(ExperimentConfigFrom, NegativeSlaRejected) {
 TEST(ExperimentConfigFrom, UnknownKeysRejected) {
   const auto raw = common::Config::from_string("trace.num_jobs = 100\nnot_a_key = 1\n");
   EXPECT_THROW(experiment_config_from(raw), std::invalid_argument);
+}
+
+// A stale line naming the removed engine key must fail loudly rather than be
+// silently ignored.
+TEST(ExperimentConfigFrom, RemovedShardsKeyRejected) {
+  const auto raw = common::Config::from_string("shards = 1\n");
+  try {
+    experiment_config_from(raw);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown keys: shards"), std::string::npos) << e.what();
+  }
 }
 
 TEST(ExperimentConfigFrom, InvalidValuesRejectedByValidation) {

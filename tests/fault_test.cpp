@@ -1,7 +1,7 @@
 // Deterministic fault injection: plan generation, backoff/retry goldens,
 // lost-work accounting invariants, and — the load-bearing properties — that
-// fixed-seed faulty runs are bit-reproducible run to run, across engines
-// (serial vs sharded lockstep), and with telemetry on or off; plus the
+// fixed-seed faulty runs are bit-reproducible run to run and with telemetry
+// on or off; plus the
 // harness robustness seams (per-cell watchdog, crash-safe tournament
 // journal resume).
 #include "src/sim/fault/fault.hpp"
@@ -302,48 +302,6 @@ TEST(FaultRun, FixedSeedIsBitReproducibleAtBothPrecisions) {
       expect_identical(a, b);
       EXPECT_GT(a.final_snapshot.faults.crashes, 0u);
     }
-  }
-}
-
-TEST(FaultRun, SerialAndShardOneLockstepAreBitIdentical) {
-  Scenario serial = make_faulty("tiny/least-loaded", 300);
-  Scenario sharded = make_faulty("tiny/least-loaded", 300);
-  sharded.config.shards = 1;
-  const ExperimentResult a = core::run_scenario(serial);
-  const ExperimentResult b = core::run_scenario(sharded);
-  expect_identical(a, b);
-}
-
-TEST(FaultRun, ShardedLockstepParityAcrossShardCounts) {
-  const ExperimentResult base = core::run_scenario(make_faulty("tiny/least-loaded", 300));
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
-    Scenario s = make_faulty("tiny/least-loaded", 300);
-    s.config.shards = shards;
-    const ExperimentResult r = core::run_scenario(s);
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-
-    // Integer counters are taken at globally ordered events — exact at any
-    // shard count.
-    EXPECT_EQ(r.final_snapshot.jobs_arrived, base.final_snapshot.jobs_arrived);
-    EXPECT_EQ(r.final_snapshot.jobs_completed, base.final_snapshot.jobs_completed);
-    EXPECT_EQ(r.final_snapshot.faults.crashes, base.final_snapshot.faults.crashes);
-    EXPECT_EQ(r.final_snapshot.faults.recoveries, base.final_snapshot.faults.recoveries);
-    EXPECT_EQ(r.final_snapshot.faults.evictions, base.final_snapshot.faults.evictions);
-    EXPECT_EQ(r.final_snapshot.faults.jobs_killed, base.final_snapshot.faults.jobs_killed);
-    EXPECT_EQ(r.final_snapshot.faults.bounces, base.final_snapshot.faults.bounces);
-    EXPECT_EQ(r.final_snapshot.faults.retries, base.final_snapshot.faults.retries);
-    EXPECT_EQ(r.final_snapshot.faults.jobs_lost, base.final_snapshot.faults.jobs_lost);
-
-    // Float integrals accumulate per shard then sum — equal up to rounding.
-    EXPECT_NEAR(r.final_snapshot.energy_joules, base.final_snapshot.energy_joules,
-                1e-6 * std::max(1.0, std::abs(base.final_snapshot.energy_joules)));
-    EXPECT_NEAR(r.final_snapshot.accumulated_latency_s,
-                base.final_snapshot.accumulated_latency_s,
-                1e-6 * std::max(1.0, std::abs(base.final_snapshot.accumulated_latency_s)));
-
-    // And the sharded run itself is bit-reproducible run to run.
-    const ExperimentResult again = core::run_scenario(s);
-    expect_identical(r, again);
   }
 }
 

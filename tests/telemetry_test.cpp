@@ -2,7 +2,7 @@
 // counts, histogram boundary semantics, snapshot schema stability, span /
 // trace-event collection, trace JSON well-formedness, and — the load-bearing
 // one — telemetry on vs. off bit-identity of full experiment results at both
-// precisions, serial and sharded.
+// precisions.
 #include "src/telemetry/registry.hpp"
 
 #include <gtest/gtest.h>
@@ -70,7 +70,7 @@ TEST(MetricRegistry, GaugeMergesByMaximumAcrossShards) {
   reg.set_gauge(0, g, 5.0);
   reg.set_gauge(1, g, 9.0);
   reg.set_gauge(2, g, 7.0);
-  reg.set_gauge(0, g, 1.0);  // last set per shard wins, then max over shards
+  reg.set_gauge(0, g, 1.0);  // last set per slab wins, then max over slabs
   const RegistrySnapshot snap = reg.snapshot();
   const MetricValue* v = snap.find("test.gauge");
   ASSERT_NE(v, nullptr);
@@ -96,8 +96,43 @@ TEST(MetricRegistry, HistogramBoundaryEdgeCases) {
   EXPECT_EQ(v->value, 0.5 + 1.0 + 2.0 + 3.9 + 4.0 - 5.0 + 100.0);
 }
 
+// Quantiles never leave the observed range: interpolation inside a bin is
+// clamped to the exact min/max, which merge across slabs by min and max.
+TEST(MetricRegistry, QuantilesAreBoundedByObservedRange) {
+  MetricRegistry reg;
+  const MetricId wall = reg.histogram("wall", {1.0, 5.0, 20.0, 60.0});
+  reg.observe(0, wall, 10.36);
+  const MetricId width = reg.histogram("width", {1.0, 2.0, 4.0, 8.0});
+  for (std::size_t slab = 0; slab < 3; ++slab) {
+    for (int i = 0; i < 5; ++i) reg.observe(slab, width, 1.0);
+  }
+  const MetricId spread = reg.histogram("spread", {1.0, 2.0, 4.0, 8.0});
+  reg.observe(1, spread, 9.0);
+  reg.observe(2, spread, 0.5);
+  reg.observe(0, spread, 3.0);
+
+  const RegistrySnapshot snap = reg.snapshot();
+  const MetricValue* w = snap.find("wall");
+  ASSERT_NE(w, nullptr);
+  EXPECT_EQ(w->quantile(0.5), 10.36);
+  EXPECT_EQ(w->quantile(0.99), 10.36);
+  const MetricValue* e = snap.find("width");
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->quantile(0.5), 1.0);
+  EXPECT_EQ(e->quantile(0.99), 1.0);
+  const MetricValue* s = snap.find("spread");
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->min, 0.5);
+  EXPECT_EQ(s->max, 9.0);
+
+  reg.reset();
+  const RegistrySnapshot empty = reg.snapshot();
+  EXPECT_EQ(empty.find("wall")->min, 0.0);
+  EXPECT_EQ(empty.find("wall")->quantile(0.5), 0.0);
+}
+
 // The tentpole merge contract: the merged snapshot is invariant to how the
-// same samples were distributed over shards. Integer cells (counters, bin
+// same samples were distributed over slabs. Integer cells (counters, bin
 // counts, sample counts) are exactly partition-invariant; the test uses
 // exactly-representable sample values so the double sums are too.
 TEST(MetricRegistry, MergeIsDeterministicAcrossShardCounts) {
@@ -230,7 +265,7 @@ TEST(Export, SnapshotSchemaIsStable) {
   EXPECT_NE(out.find("\"schema\":\"hcrl-metrics-v1\""), std::string::npos) << out;
   EXPECT_NE(out.find(expected_metrics), std::string::npos) << out;
   for (const char* key : {"\"tool\":\"test\"", "\"scenario\":\"unit\"", "\"precision\":\"f64\"",
-                          "\"shards\":0", "\"gemm_threads\":1", "\"git_describe\":",
+                          "\"gemm_threads\":1", "\"git_describe\":",
                           "\"wall_seconds\":0"}) {
     EXPECT_NE(out.find(key), std::string::npos) << "missing " << key << " in " << out;
   }
@@ -402,34 +437,30 @@ void expect_results_identical(const core::ExperimentResult& a, const core::Exper
   }
 }
 
-TEST(TelemetryBitIdentity, FullExperimentBothPrecisionsSerialAndSharded) {
+TEST(TelemetryBitIdentity, FullExperimentBothPrecisions) {
   for (const nn::Precision precision : {nn::Precision::kF64, nn::Precision::kF32}) {
-    for (const std::size_t shards : {std::size_t{0}, std::size_t{2}}) {
-      SCOPED_TRACE(std::string("precision=") + nn::to_string(precision) +
-                   " shards=" + std::to_string(shards));
-      core::Scenario scenario = core::ScenarioRegistry::builtin().make("tiny/hierarchical", 250);
-      scenario.config.precision = precision;
-      scenario.config.shards = shards;
+    SCOPED_TRACE(std::string("precision=") + nn::to_string(precision));
+    core::Scenario scenario = core::ScenarioRegistry::builtin().make("tiny/hierarchical", 250);
+    scenario.config.precision = precision;
 
-      ASSERT_FALSE(enabled());
-      const core::ExperimentResult off = core::run_scenario(scenario);
+    ASSERT_FALSE(enabled());
+    const core::ExperimentResult off = core::run_scenario(scenario);
 
-      // Full telemetry: metrics AND trace-event collection.
-      TraceCollector collector;
-      collector.install();
-      set_enabled(true);
-      const core::ExperimentResult on = core::run_scenario(scenario);
-      set_enabled(false);
-      collector.uninstall();
+    // Full telemetry: metrics AND trace-event collection.
+    TraceCollector collector;
+    collector.install();
+    set_enabled(true);
+    const core::ExperimentResult on = core::run_scenario(scenario);
+    set_enabled(false);
+    collector.uninstall();
 
-      expect_results_identical(on, off);
-      EXPECT_GT(collector.num_events(), 0u);
-      const RegistrySnapshot snap = global_registry().snapshot();
-      EXPECT_GT(snap.find("sim.events")->count, 0u);
-      EXPECT_GT(snap.find("core.decision.flushes")->count, 0u);
-      EXPECT_GT(snap.find("nn.gemm.calls")->count, 0u);
-      EXPECT_GT(snap.find("runner.scenarios")->count, 0u);
-    }
+    expect_results_identical(on, off);
+    EXPECT_GT(collector.num_events(), 0u);
+    const RegistrySnapshot snap = global_registry().snapshot();
+    EXPECT_GT(snap.find("sim.events")->count, 0u);
+    EXPECT_GT(snap.find("core.decision.flushes")->count, 0u);
+    EXPECT_GT(snap.find("nn.gemm.calls")->count, 0u);
+    EXPECT_GT(snap.find("runner.scenarios")->count, 0u);
   }
 }
 

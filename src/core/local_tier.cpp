@@ -39,7 +39,20 @@ RlPowerManager::RlPowerManager(const LocalPowerManagerOptions& opts) : opts_(opt
     servers_[i].predictor = make_predictor(opts_.predictor, lstm);
     servers_[i].agent = agents_[opts_.shared_table ? 0 : i].get();
     servers_[i].rng = root.fork();
+    if (auto* p = dynamic_cast<LstmPredictor*>(servers_[i].predictor.get())) lstm_.push_back(p);
   }
+  // The paper's sub-managers act independently of the global tier, so their
+  // LSTM training runs beside the decision path on one FIFO thread.
+  if (!lstm_.empty()) {
+    trainer_ = std::make_unique<TrainerThread>();
+    for (LstmPredictor* lstm : lstm_) lstm->set_trainer(trainer_.get());
+  }
+}
+
+void RlPowerManager::on_simulation_end(const sim::ClusterView& cluster, sim::Time now) {
+  (void)cluster;
+  (void)now;
+  for (LstmPredictor* lstm : lstm_) lstm->sync();
 }
 
 double RlPowerManager::predicted_gap(const sim::Server& server, sim::Time now,

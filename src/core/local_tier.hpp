@@ -69,6 +69,9 @@ class RlPowerManager final : public sim::PowerPolicy {
 
   double on_idle(const sim::Server& server, sim::Time now) override;
   void on_arrival(const sim::Server& server, const sim::Job& job, sim::Time now) override;
+  /// Drains the LSTM training rounds still queued, so none outlives the
+  /// run; rethrows a failed round.
+  void on_simulation_end(const sim::ClusterView& cluster, sim::Time now) override;
   std::string name() const override { return "rl-dpm(" + opts_.predictor + ")"; }
 
   // -- decision-epoch batching (core::DecisionService) -----------------------
@@ -135,7 +138,11 @@ class RlPowerManager final : public sim::PowerPolicy {
 
   LocalPowerManagerOptions opts_;
   std::vector<std::unique_ptr<rl::TabularQAgent>> agents_;  // 1 if shared, M otherwise
+  /// Runs every LSTM predictor's training rounds; null when there are none.
+  /// Declared before servers_ so it outlives the predictors that use it.
+  std::unique_ptr<TrainerThread> trainer_;
   std::vector<PerServer> servers_;
+  std::vector<LstmPredictor*> lstm_;  // the LSTM predictors in servers_
   bool learning_ = true;
   DecisionService* service_ = nullptr;  // not owned; null = inline decisions
   std::vector<StagedIdle> staged_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "src/common/suggest.hpp"
 #include "src/nn/init.hpp"
@@ -10,6 +11,8 @@
 #include "src/nn/lstm.hpp"
 #include "src/nn/network.hpp"
 #include "src/nn/optimizer.hpp"
+#include "src/telemetry/registry.hpp"
+#include "src/telemetry/trace.hpp"
 
 namespace hcrl::core {
 
@@ -200,23 +203,26 @@ class LstmNetCore {
     return out;
   }
 
-  /// One supervised BPTT step on the window ending at history position
-  /// `end`; returns the squared error in normalized space.
-  double train_window(const std::deque<double>& history, std::size_t end) {
-    const std::size_t begin = end - opts_.lookback;
+  /// One supervised BPTT step on `window`: `lookback` normalized inputs
+  /// followed by the target. Returns the squared error in normalized space;
+  /// a non-finite one throws NonFiniteError before any weight changes.
+  double train_window(std::span<const double> window) {
     // Training forward: per-sample (batch = 1) path, caches kept for BPTT.
     lstm_->reset();
     nn::VecT<S> h;
     for (std::size_t i = 0; i < opts_.lookback; ++i) {
-      nn::VecT<S> x = input_layer_.forward(nn::VecT<S>{static_cast<S>(history[begin + i])});
+      nn::VecT<S> x = input_layer_.forward(nn::VecT<S>{static_cast<S>(window[i])});
       h = lstm_->step(x);
     }
     const nn::VecT<S> y = output_layer_.forward(h);
     const S pred = y[0];
-    const S target = static_cast<S>(history[end]);
+    const S target = static_cast<S>(window[opts_.lookback]);
 
     optimizer_->zero_grad();
     nn::LossResultT<S> loss = nn::mse_loss(nn::VecT<S>{pred}, nn::VecT<S>{target});
+    if (!std::isfinite(loss.value)) {
+      throw NonFiniteError("LstmPredictor: training loss is " + std::to_string(loss.value));
+    }
     // Loss is attached to the last step's output only (next-value
     // prediction); BPTT carries it back through every cached step.
     nn::VecT<S> dh = output_layer_.backward(loss.grad);
@@ -246,6 +252,67 @@ template class LstmNetCore<double>;
 
 }  // namespace detail
 
+namespace {
+
+telemetry::MetricId blocked_waits_metric() {
+  static const telemetry::MetricId id =
+      telemetry::global_registry().counter("local.train.blocked_waits");
+  return id;
+}
+
+}  // namespace
+
+TrainerThread::TrainerThread()
+    : thread_([this, shard = telemetry::current_shard()] {
+        telemetry::ShardScope scope(shard);
+        telemetry::set_thread_name("lstm-trainer");
+        run();
+      }) {}
+
+TrainerThread::~TrainerThread() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stop_ = true;
+  }
+  work_cv_.notify_one();
+  thread_.join();
+}
+
+TrainerThread::Ticket TrainerThread::submit(std::function<void()> task) {
+  Ticket ticket = 0;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    queue_.push_back(std::move(task));
+    ticket = ++submitted_;
+  }
+  work_cv_.notify_one();
+  return ticket;
+}
+
+bool TrainerThread::wait(Ticket ticket) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (completed_ >= ticket) return false;
+  done_cv_.wait(lock, [&] { return completed_ >= ticket; });
+  return true;
+}
+
+void TrainerThread::run() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    work_cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // stopping, and everything queued has run
+    {
+      std::function<void()> task = std::move(queue_.front());
+      queue_.pop_front();
+      lock.unlock();
+      task();
+    }
+    lock.lock();
+    ++completed_;
+    done_cv_.notify_all();
+  }
+}
+
 LstmPredictor::LstmPredictor(const LstmPredictorOptions& opts) : opts_(opts), rng_(opts.seed) {
   opts_.validate();
   if (opts_.precision == nn::Precision::kF32) {
@@ -255,7 +322,23 @@ LstmPredictor::LstmPredictor(const LstmPredictorOptions& opts) : opts_(opts), rn
   }
 }
 
-LstmPredictor::~LstmPredictor() = default;
+LstmPredictor::~LstmPredictor() {
+  if (trainer_ != nullptr) trainer_->wait(last_round_);
+}
+
+void LstmPredictor::set_trainer(TrainerThread* trainer) {
+  if (trainer_ != nullptr) trainer_->wait(last_round_);
+  trainer_ = trainer;
+  last_round_ = 0;
+}
+
+void LstmPredictor::sync() {
+  if (last_round_ != 0) {
+    if (trainer_->wait(last_round_)) telemetry::count(blocked_waits_metric());
+    last_round_ = 0;
+  }
+  if (round_error_) std::rethrow_exception(std::exchange(round_error_, nullptr));
+}
 
 double LstmPredictor::normalize(double seconds) const {
   return std::log1p(std::max(0.0, seconds)) / std::log1p(opts_.norm_scale_s);
@@ -270,8 +353,31 @@ void LstmPredictor::observe(double interarrival_s) {
   history_.push_back(normalize(interarrival_s));
   if (history_.size() > opts_.history_capacity) history_.pop_front();
   ++total_observed_;
-  if (total_observed_ % opts_.train_interval == 0 && history_.size() > opts_.lookback + 1) {
-    train_round();
+  if (total_observed_ % opts_.train_interval != 0 || history_.size() <= opts_.lookback + 1) {
+    return;
+  }
+  // Draw the round's window ends and copy their values here, so the round
+  // reads nothing observe() goes on to change.
+  const auto lookback = static_cast<std::ptrdiff_t>(opts_.lookback);
+  std::vector<double> windows;
+  windows.reserve(opts_.train_windows * (opts_.lookback + 1));
+  for (std::size_t w = 0; w < opts_.train_windows; ++w) {
+    const auto end = rng_.uniform_int(lookback, static_cast<std::int64_t>(history_.size()) - 1);
+    const auto last = history_.begin() + static_cast<std::ptrdiff_t>(end);
+    windows.insert(windows.end(), last - lookback, last + 1);
+  }
+  auto round = [this, windows = std::move(windows)] {
+    if (round_error_) return;  // a failed round drops the ones queued behind it
+    try {
+      train_round(windows);
+    } catch (...) {
+      round_error_ = std::current_exception();
+    }
+  };
+  if (trainer_ != nullptr) {
+    last_round_ = trainer_->submit(std::move(round));
+  } else {
+    round();
   }
 }
 
@@ -291,6 +397,7 @@ std::vector<double> LstmPredictor::predict_n(std::size_t n) {
 }
 
 std::vector<double> LstmPredictor::predict_windows(const std::vector<std::size_t>& ends) {
+  sync();
   if (ends.empty()) return {};
   for (const std::size_t end : ends) {
     if (end > history_.size() || end < opts_.lookback) {
@@ -299,24 +406,40 @@ std::vector<double> LstmPredictor::predict_windows(const std::vector<std::size_t
   }
   std::vector<double> out =
       f32_ ? f32_->predict_windows(history_, ends) : f64_->predict_windows(history_, ends);
-  for (auto& v : out) v = denormalize(v);
+  for (auto& v : out) {
+    // denormalize() clamps at zero, which would turn a NaN into a 0 s gap.
+    if (!std::isfinite(v)) {
+      throw NonFiniteError("LstmPredictor: prediction is " + std::to_string(v));
+    }
+    v = denormalize(v);
+  }
   return out;
 }
 
 double LstmPredictor::train_window(std::size_t end) {
+  sync();
   if (end >= history_.size() || end < opts_.lookback) {
     throw std::invalid_argument("LstmPredictor::train_window: bad window end");
   }
-  return f32_ ? f32_->train_window(history_, end) : f64_->train_window(history_, end);
+  const auto last = history_.begin() + static_cast<std::ptrdiff_t>(end);
+  const std::vector<double> window(last - static_cast<std::ptrdiff_t>(opts_.lookback), last + 1);
+  return train_span(window);
 }
 
-void LstmPredictor::train_round() {
+double LstmPredictor::last_training_loss() {
+  sync();
+  return last_loss_;
+}
+
+double LstmPredictor::train_span(std::span<const double> window) {
+  return f32_ ? f32_->train_window(window) : f64_->train_window(window);
+}
+
+void LstmPredictor::train_round(const std::vector<double>& windows) {
+  const std::size_t span = opts_.lookback + 1;
   double total = 0.0;
   for (std::size_t w = 0; w < opts_.train_windows; ++w) {
-    const auto end = static_cast<std::size_t>(
-        rng_.uniform_int(static_cast<std::int64_t>(opts_.lookback),
-                         static_cast<std::int64_t>(history_.size()) - 1));
-    total += train_window(end);
+    total += train_span(std::span<const double>(windows).subspan(w * span, span));
   }
   last_loss_ = total / static_cast<double>(opts_.train_windows);
 }

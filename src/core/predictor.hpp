@@ -9,9 +9,17 @@
 // against — they are the ablation baselines.
 #pragma once
 
+#include <condition_variable>
+#include <cstdint>
 #include <deque>
+#include <exception>
+#include <functional>
 #include <memory>
+#include <mutex>
+#include <span>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/rng.hpp"
@@ -142,15 +150,70 @@ struct LstmPredictorOptions {
   void validate() const;
 };
 
+/// A training loss or prediction that is NaN or infinite. Thrown at the
+/// tier boundary instead of letting a diverged network drive decisions; a
+/// Runner batch records it as the cell's error outcome.
+class NonFiniteError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// One worker thread that runs queued tasks one at a time, in submission
+/// order. The local tier owns one and hands it to its LSTM predictors, so
+/// their training rounds run beside the decision path instead of inside it.
+/// Tasks must not throw: LstmPredictor catches a failed round itself and
+/// rethrows it at its next access.
+class TrainerThread {
+ public:
+  using Ticket = std::uint64_t;
+
+  TrainerThread();
+  /// Runs every queued task, then joins.
+  ~TrainerThread();
+  TrainerThread(const TrainerThread&) = delete;
+  TrainerThread& operator=(const TrainerThread&) = delete;
+
+  /// Queue `task`; never blocks. Tickets count up from 1.
+  Ticket submit(std::function<void()> task);
+  /// Block until task `ticket` (and so every task before it) has run;
+  /// ticket 0 returns at once. Returns true when the call had to block.
+  bool wait(Ticket ticket);
+
+ private:
+  void run();
+
+  std::mutex mutex_;  // guards the four members below
+  std::condition_variable work_cv_;
+  std::condition_variable done_cv_;
+  std::deque<std::function<void()>> queue_;
+  Ticket submitted_ = 0;
+  Ticket completed_ = 0;
+  bool stop_ = false;
+  std::thread thread_;  // last: starts once the members above exist
+};
+
 namespace detail {
 template <class S>
 class LstmNetCore;
 }  // namespace detail
 
+/// Every `train_interval` observations, observe() queues one training
+/// round: `train_windows` window ends drawn from the predictor's RNG, with
+/// their history values copied. With a trainer (set_trainer) the round runs
+/// on that thread; without one it runs inline, as the same task. Each method
+/// that reads or writes the network first waits for this predictor's last
+/// queued round, so results are bit-identical either way. A round that
+/// throws (e.g. NonFiniteError) drops the rounds queued behind it, and its
+/// exception is rethrown by the next waiting method.
 class LstmPredictor final : public WorkloadPredictor {
  public:
   explicit LstmPredictor(const LstmPredictorOptions& opts);
+  /// Waits for the queued rounds; a pending round failure is discarded.
   ~LstmPredictor() override;
+
+  /// Run later training rounds on `trainer` (null: inline). The trainer
+  /// must outlive this predictor.
+  void set_trainer(TrainerThread* trainer);
 
   void observe(double interarrival_s) override;
   double predict() override;
@@ -172,15 +235,23 @@ class LstmPredictor final : public WorkloadPredictor {
   double train_window(std::size_t end);
 
   std::size_t observations() const noexcept { return total_observed_; }
-  double last_training_loss() const noexcept { return last_loss_; }
+  /// Mean window loss of the last finished round (-1 before the first).
+  double last_training_loss();
   const LstmPredictorOptions& options() const noexcept { return opts_; }
+
+  /// Wait for this predictor's queued training rounds, then rethrow the
+  /// failure of one, if any. The local tier calls it at simulation end.
+  void sync();
 
   // Normalization helpers (exposed for tests).
   double normalize(double seconds) const;
   double denormalize(double z) const;
 
  private:
-  void train_round();
+  /// One round over `windows`: train_windows spans of lookback + 1 values.
+  void train_round(const std::vector<double>& windows);
+  /// One BPTT step on a span of lookback inputs followed by the target.
+  double train_span(std::span<const double> window);
 
   LstmPredictorOptions opts_;
   common::Rng rng_;
@@ -190,7 +261,11 @@ class LstmPredictor final : public WorkloadPredictor {
   std::unique_ptr<detail::LstmNetCore<double>> f64_;
   std::deque<double> history_;  // normalized values
   std::size_t total_observed_ = 0;
+  // Written by the rounds; read only after sync()'s wait.
   double last_loss_ = -1.0;
+  std::exception_ptr round_error_;
+  TrainerThread* trainer_ = nullptr;  // not owned; null = inline rounds
+  TrainerThread::Ticket last_round_ = 0;
 };
 
 /// Factory used by configs ("lstm", "last-value", "sliding-mean", "window",

@@ -110,6 +110,7 @@ bool Cluster::step() {
     if (!finished_notified_) {
       finished_notified_ = true;
       allocation_.on_simulation_end(*this, now_);
+      power_policy_.on_simulation_end(*this, now_);
     }
     return false;
   }

@@ -96,6 +96,13 @@ class PowerPolicy {
     (void)server; (void)job; (void)now;
   }
 
+  /// Called when the simulation finishes, after the allocation policy's
+  /// hook (for learners with work in flight to drain).
+  virtual void on_simulation_end(const ClusterView& cluster, Time now) {
+    (void)cluster;
+    (void)now;
+  }
+
   /// Nothing in the library reads this; it remains only because the
   /// end-to-end benchmark's forwarding decorator overrides it, and goes in
   /// the next change to that benchmark.

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <exception>
 #include <stdexcept>
 
+#include "src/core/runner.hpp"
+#include "src/core/scenario.hpp"
 #include "src/sim/cluster.hpp"
 
 namespace hcrl::core {
@@ -213,6 +217,79 @@ TEST(RlPowerManager, AgentAccessorsValidateServer) {
   EXPECT_THROW(mgr.agent(5), std::out_of_range);
   EXPECT_THROW(mgr.predictor(5), std::out_of_range);
   EXPECT_THROW(mgr.decisions(5), std::out_of_range);
+}
+
+// ---- LSTM predictors on the trainer thread --------------------------------
+
+LocalPowerManagerOptions lstm_opts(double learning_rate) {
+  LocalPowerManagerOptions o = small_opts(1);
+  o.predictor = "lstm";
+  o.lstm.lookback = 8;
+  o.lstm.hidden_units = 6;
+  o.lstm.train_interval = 2;
+  o.lstm.learning_rate = learning_rate;
+  return o;
+}
+
+/// Arrivals only (no job ever finishes), so the manager observes without
+/// predicting: its training rounds just queue.
+void feed_arrivals(RlPowerManager& mgr, int n) {
+  sim::ServerConfig cfg;
+  cfg.start_asleep = false;
+  sim::ClusterMetrics metrics(1);
+  sim::Server server(0, cfg, &metrics);
+  sim::EventQueue queue;
+  for (int i = 0; i < n; ++i) {
+    sim::Job j;
+    j.id = static_cast<sim::JobId>(i + 1);
+    j.arrival = 20.0 * i + (i % 3);
+    j.duration = 1e6;
+    j.demand = sim::ResourceVector{0.01, 0.01, 0.01};
+    server.handle_arrival(j, j.arrival, queue, mgr);
+  }
+}
+
+void end_simulation(RlPowerManager& mgr) {
+  sim::ClusterConfig cc;
+  cc.num_servers = 1;
+  sim::RoundRobinAllocator rr;
+  const sim::Cluster cluster(cc, rr, mgr);
+  mgr.on_simulation_end(cluster, 4000.0);
+}
+
+TEST(RlPowerManager, SimulationEndDrainsQueuedRounds) {
+  RlPowerManager mgr(lstm_opts(1e-3));
+  feed_arrivals(mgr, 200);
+  end_simulation(mgr);
+  auto& lstm = dynamic_cast<LstmPredictor&>(mgr.predictor(0));
+  EXPECT_EQ(lstm.observations(), 199u);
+  EXPECT_TRUE(std::isfinite(lstm.last_training_loss()));
+  EXPECT_GE(lstm.last_training_loss(), 0.0);
+}
+
+TEST(RlPowerManager, SimulationEndRethrowsAFailedRound) {
+  RlPowerManager mgr(lstm_opts(1e300));
+  feed_arrivals(mgr, 200);
+  EXPECT_THROW(end_simulation(mgr), NonFiniteError);
+}
+
+TEST(RlPowerManager, DivergingLstmFailsItsCellLoudly) {
+  // Same cell twice in one batch; only the one whose LSTM learning rate
+  // diverges may fail, and it must fail with the named error rather than
+  // produce a result.
+  const Scenario healthy = ScenarioRegistry::builtin().make("tiny/hierarchical", 600);
+  Scenario diverging = healthy;
+  diverging.name += "/diverging";
+  diverging.config.local.lstm.learning_rate = 1e300;
+  const std::vector<ScenarioOutcome> out = SerialRunner().run_outcomes({diverging, healthy});
+  ASSERT_EQ(out.size(), 2u);
+  ASSERT_FALSE(out[0].ok());
+  try {
+    std::rethrow_exception(out[0].error);
+  } catch (const NonFiniteError& e) {
+    EXPECT_NE(std::string(e.what()).find("LstmPredictor"), std::string::npos) << e.what();
+  }
+  EXPECT_TRUE(out[1].ok());
 }
 
 }  // namespace

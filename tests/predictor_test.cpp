@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <functional>
+#include <future>
 #include <numbers>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace hcrl::core {
 namespace {
@@ -159,6 +165,178 @@ TEST(LstmPredictor, TrainWindowValidation) {
   EXPECT_THROW(p.train_window(3), std::invalid_argument);    // < lookback
   EXPECT_THROW(p.train_window(100), std::invalid_argument);  // past history
   EXPECT_GE(p.train_window(7), 0.0);
+}
+
+// ---- training rounds on a TrainerThread -----------------------------------
+
+std::string hex(double v) {
+  char buf[48];
+  std::snprintf(buf, sizeof buf, "%a", v);
+  return buf;
+}
+
+LstmPredictorOptions small_lstm(nn::Precision precision = nn::Precision::kF64) {
+  LstmPredictorOptions o;
+  o.lookback = 10;
+  o.hidden_units = 8;
+  o.train_interval = 4;
+  o.train_windows = 3;
+  o.precision = precision;
+  return o;
+}
+
+/// Queues a task that holds the trainer until release(), so the rounds
+/// queued after it wait and the test controls when they run.
+class Gate {
+ public:
+  explicit Gate(TrainerThread& trainer) {
+    trainer.submit([f = open_.get_future().share()] { f.wait(); });
+  }
+  ~Gate() { release(); }
+  void release() {
+    if (!released_) open_.set_value();
+    released_ = true;
+  }
+
+ private:
+  std::promise<void> open_;
+  bool released_ = false;
+};
+
+class LstmTrainerParity : public ::testing::TestWithParam<nn::Precision> {};
+
+TEST_P(LstmTrainerParity, MatchesInlineBitForBit) {
+  TrainerThread trainer;
+  LstmPredictor inline_p(small_lstm(GetParam()));
+  LstmPredictor threaded(small_lstm(GetParam()));
+  threaded.set_trainer(&trainer);
+  common::Rng rng(5);
+  for (int i = 1; i <= 2000; ++i) {
+    const double x = rng.exponential(1.0 / 90.0);
+    inline_p.observe(x);
+    threaded.observe(x);
+    // Read back only now and then, so many rounds queue between the waits.
+    if (i % 97 == 0 || i == 2000) {
+      ASSERT_EQ(hex(threaded.predict()), hex(inline_p.predict())) << "observation " << i;
+      ASSERT_EQ(hex(threaded.last_training_loss()), hex(inline_p.last_training_loss()))
+          << "observation " << i;
+    }
+  }
+  EXPECT_GT(inline_p.last_training_loss(), 0.0);
+  const std::vector<double> a = threaded.predict_n(3);
+  const std::vector<double> b = inline_p.predict_n(3);
+  for (std::size_t k = 0; k < a.size(); ++k) EXPECT_EQ(hex(a[k]), hex(b[k]));
+}
+
+INSTANTIATE_TEST_SUITE_P(Precisions, LstmTrainerParity,
+                         ::testing::Values(nn::Precision::kF64, nn::Precision::kF32));
+
+TEST(LstmTrainer, EveryAccessWaitsForTheQueuedRound) {
+  using Access = std::function<double(LstmPredictor&)>;
+  const std::vector<std::pair<const char*, Access>> accesses = {
+      {"predict", [](LstmPredictor& p) { return p.predict(); }},
+      {"predict_n", [](LstmPredictor& p) { return p.predict_n(2).back(); }},
+      {"predict_windows", [](LstmPredictor& p) { return p.predict_windows({20, 40}).back(); }},
+      {"train_window", [](LstmPredictor& p) { return p.train_window(30); }},
+      {"last_training_loss", [](LstmPredictor& p) { return p.last_training_loss(); }},
+      {"sync", [](LstmPredictor& p) { p.sync(); return p.last_training_loss(); }},
+  };
+  for (const auto& [name, access] : accesses) {
+    SCOPED_TRACE(name);
+    TrainerThread trainer;
+    LstmPredictor inline_p(small_lstm());
+    LstmPredictor threaded(small_lstm());
+    threaded.set_trainer(&trainer);
+    Gate gate(trainer);
+    for (int i = 0; i < 48; ++i) {
+      inline_p.observe(10.0 + i);
+      threaded.observe(10.0 + i);
+    }
+    // Every round is queued behind the gate: the access must not finish.
+    std::future<double> got = std::async(std::launch::async, [&, fn = access] { return fn(threaded); });
+    EXPECT_EQ(got.wait_for(std::chrono::milliseconds(30)), std::future_status::timeout);
+    gate.release();
+    EXPECT_EQ(hex(got.get()), hex(access(inline_p)));
+  }
+}
+
+TEST(LstmTrainer, DestroyingWithQueuedRoundsIsClean) {
+  TrainerThread trainer;
+  std::promise<void> destroyed;
+  {
+    Gate gate(trainer);
+    auto p = std::make_unique<LstmPredictor>(small_lstm());
+    p->set_trainer(&trainer);
+    for (int i = 0; i < 400; ++i) p->observe(5.0 + i % 7);
+    // The destructor waits for the queued rounds, which wait for the gate.
+    auto done = std::async(std::launch::async, [&p] { p.reset(); });
+    EXPECT_EQ(done.wait_for(std::chrono::milliseconds(30)), std::future_status::timeout);
+    gate.release();
+    done.get();
+  }
+  // Also with the rounds still running when the trainer itself goes.
+  auto trainer2 = std::make_unique<TrainerThread>();
+  auto p = std::make_unique<LstmPredictor>(small_lstm());
+  p->set_trainer(trainer2.get());
+  for (int i = 0; i < 400; ++i) p->observe(5.0 + i % 7);
+  p.reset();
+  trainer2.reset();
+}
+
+LstmPredictorOptions diverging_lstm() {
+  LstmPredictorOptions o = small_lstm();
+  o.learning_rate = 1e300;  // one Adam step moves every weight by ~1e300
+  return o;
+}
+
+TEST(LstmTrainer, RoundFailureSurfacesAtTheNextAccess) {
+  for (const bool threaded : {false, true}) {
+    SCOPED_TRACE(threaded ? "trainer" : "inline");
+    TrainerThread trainer;
+    LstmPredictor p(diverging_lstm());
+    if (threaded) p.set_trainer(&trainer);
+    for (int i = 0; i < 200; ++i) EXPECT_NO_THROW(p.observe(30.0 + i % 5));  // never blocks
+    EXPECT_THROW(p.predict(), NonFiniteError);
+    // Surfaced once; later rounds run again (and fail again on the same
+    // diverged weights, which the next access reports).
+    for (int i = 0; i < 8; ++i) p.observe(30.0);
+    EXPECT_THROW(p.sync(), NonFiniteError);
+    for (int i = 0; i < 8; ++i) p.observe(30.0);
+  }  // destroyed with a failure pending: discarded, no terminate
+}
+
+TEST(LstmTrainer, NonFiniteLossThrowsBeforeTheStep) {
+  LstmPredictorOptions o = diverging_lstm();
+  o.train_interval = 1000;  // no rounds: only the explicit steps below
+  LstmPredictor p(o);
+  for (int i = 0; i < 12; ++i) p.observe(30.0 + i);
+  EXPECT_GE(p.train_window(11), 0.0);  // finite: takes the 1e300 step
+  try {
+    p.train_window(11);
+    FAIL() << "expected NonFiniteError";
+  } catch (const NonFiniteError& e) {
+    EXPECT_NE(std::string(e.what()).find("training loss"), std::string::npos) << e.what();
+  }
+}
+
+TEST(LstmTrainer, NonFinitePredictionThrowsInsteadOfAZeroGap) {
+  // After one 1e300 step, the two input units reach +-1e300 and the gate
+  // sums overflow to inf - inf = NaN. denormalize() would clamp that NaN
+  // to a 0 s gap; the guard throws instead.
+  LstmPredictorOptions o = diverging_lstm();
+  o.input_hidden = 2;
+  o.train_interval = 1000;
+  LstmPredictor p(o);
+  for (int i = 0; i < 12; ++i) p.observe(30.0 + i);
+  EXPECT_GE(p.train_window(11), 0.0);
+  try {
+    p.predict();
+    FAIL() << "expected NonFiniteError";
+  } catch (const NonFiniteError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("prediction is"), std::string::npos) << what;
+    EXPECT_NE(what.find("nan"), std::string::npos) << what;
+  }
 }
 
 TEST(MakePredictor, FactoryDispatch) {

@@ -10,6 +10,8 @@ cd "$(dirname "$0")/.."
 build="${1:-build}"
 
 mkdir -p tests/golden
-cmake --build "$build" --target golden_results_test -j
-HCRL_REGEN_GOLDENS=1 "$build/tests/golden_results_test" --gtest_brief=1
+cmake --build "$build" --target golden_results_test dqn_golden_test -j
+for suite in golden_results_test dqn_golden_test; do
+  HCRL_REGEN_GOLDENS=1 "$build/tests/$suite" --gtest_brief=1
+done
 git status --short -- tests/golden

@@ -1,9 +1,12 @@
 #include "src/core/global_tier.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
+#include "src/core/nonfinite.hpp"
 #include "src/sim/cluster.hpp"
 
 namespace hcrl::core {
@@ -13,9 +16,16 @@ namespace {
 /// Argmax over the Q-row with crash-failed servers masked out. Falls back to
 /// the plain argmax when the whole action space is failed (the engine then
 /// bounces the placement into the retry stream). With no failed servers this
-/// delegates to nn::argmax, keeping the no-fault path bit-identical.
+/// delegates to nn::argmax, keeping the no-fault path bit-identical. A NaN
+/// or infinite Q-value throws NonFiniteError instead of steering placement.
 template <class Row>
 std::size_t live_argmax(const Row& q, const sim::ClusterView& cluster) {
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    if (!std::isfinite(q[i])) {
+      throw NonFiniteError("DrlAllocator: Q-value of server " + std::to_string(i) + " is " +
+                           std::to_string(q[i]));
+    }
+  }
   if (cluster.servers_failed() == 0) return nn::argmax(q);
   std::size_t best = q.size();
   for (std::size_t i = 0; i < q.size(); ++i) {

@@ -44,7 +44,7 @@ RlPowerManager::RlPowerManager(const LocalPowerManagerOptions& opts) : opts_(opt
   // The paper's sub-managers act independently of the global tier, so their
   // LSTM training runs beside the decision path on one FIFO thread.
   if (!lstm_.empty()) {
-    trainer_ = std::make_unique<TrainerThread>();
+    trainer_ = std::make_unique<TrainerThread>("lstm-trainer");
     for (LstmPredictor* lstm : lstm_) lstm->set_trainer(trainer_.get());
   }
 }

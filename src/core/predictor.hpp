@@ -9,20 +9,17 @@
 // against — they are the ablation baselines.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <exception>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/common/rng.hpp"
+#include "src/core/nonfinite.hpp"
+#include "src/core/trainer_thread.hpp"
 #include "src/nn/precision.hpp"
 
 namespace hcrl::core {
@@ -148,48 +145,6 @@ struct LstmPredictorOptions {
   nn::Precision precision = nn::default_precision();
 
   void validate() const;
-};
-
-/// A training loss or prediction that is NaN or infinite. Thrown at the
-/// tier boundary instead of letting a diverged network drive decisions; a
-/// Runner batch records it as the cell's error outcome.
-class NonFiniteError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
-/// One worker thread that runs queued tasks one at a time, in submission
-/// order. The local tier owns one and hands it to its LSTM predictors, so
-/// their training rounds run beside the decision path instead of inside it.
-/// Tasks must not throw: LstmPredictor catches a failed round itself and
-/// rethrows it at its next access.
-class TrainerThread {
- public:
-  using Ticket = std::uint64_t;
-
-  TrainerThread();
-  /// Runs every queued task, then joins.
-  ~TrainerThread();
-  TrainerThread(const TrainerThread&) = delete;
-  TrainerThread& operator=(const TrainerThread&) = delete;
-
-  /// Queue `task`; never blocks. Tickets count up from 1.
-  Ticket submit(std::function<void()> task);
-  /// Block until task `ticket` (and so every task before it) has run;
-  /// ticket 0 returns at once. Returns true when the call had to block.
-  bool wait(Ticket ticket);
-
- private:
-  void run();
-
-  std::mutex mutex_;  // guards the four members below
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::deque<std::function<void()>> queue_;
-  Ticket submitted_ = 0;
-  Ticket completed_ = 0;
-  bool stop_ = false;
-  std::thread thread_;  // last: starts once the members above exist
 };
 
 namespace detail {

@@ -1,8 +1,13 @@
 #include "src/core/qnetwork.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <exception>
 #include <stdexcept>
+#include <string>
 
+#include "src/core/nonfinite.hpp"
+#include "src/core/trainer_thread.hpp"
 #include "src/nn/autoencoder.hpp"
 #include "src/nn/loss.hpp"
 #include "src/nn/network.hpp"
@@ -60,77 +65,79 @@ class GroupedQCore {
     q_values_batch_with(*online_subq_, states, out);
   }
 
+  /// One gradient step. The bootstrap targets of transitions [0, split)
+  /// are computed on the `dqn-bootstrap` helper while this thread computes
+  /// the rest and then runs the online forward; it joins the helper before
+  /// the Huber loss (and before unwinding on any error), so the backward
+  /// pass, clip and Adam step see exactly the serial step's inputs.
   double train_batch(const std::vector<const rl::Transition*>& batch, double beta) {
     const auto& enc = opts_.encoder;
     const std::size_t n = batch.size();
     const std::size_t K = enc.num_groups;
     optimizer_->zero_grad();
 
-    // Bootstrap-target sweep, batched across the whole minibatch: all n*K
-    // next-state group encodes in one autoencoder pass, then all n*K Sub-Q
-    // head forwards in one target-network pass (two when double Q-learning
-    // also needs the online network's argmax).
-    nn::MatrixT<S> next_groups;
-    next_groups.resize_for_overwrite(n * K, enc.group_state_dim());
-    for (std::size_t b = 0; b < n; ++b) fill_group_rows(next_groups, b * K, batch[b]->next_state);
-    const nn::MatrixT<S> next_codes = autoencoder_->encode_batch(std::move(next_groups));
-    nn::MatrixT<S> next_heads;
-    next_heads.resize_for_overwrite(n * K, head_input_dim_);
-    for (std::size_t b = 0; b < n; ++b) {
-      for (std::size_t k = 0; k < K; ++k) {
-        fill_head_row(next_heads, b * K + k, batch[b]->next_state, k, next_codes, b * K);
-      }
-    }
-    nn::MatrixT<S> next_q_online;
-    if (opts_.double_q) next_q_online = online_subq_->predict_batch(next_heads);
-    const nn::MatrixT<S> next_q = target_subq_->predict_batch(std::move(next_heads));
-
+    // The bootstrap part is ~70% of the two forward parts' MACs, so the
+    // helper's ~2/3 of the rows balances it against this thread's share
+    // plus the online forward.
+    if (!helper_) helper_ = std::make_unique<TrainerThread>("dqn-bootstrap");
+    const std::size_t split = (2 * n + 2) / 3;
+    // Everything the helper touches or this thread fills before the join is
+    // set up before the submit, so nothing between submit and join can
+    // throw outside the try block below.
     nn::VecT<S> targets(n);
     std::vector<std::size_t> locals(n);
-    nn::VecT<S> q_next, q_online;
-    for (std::size_t b = 0; b < n; ++b) {
-      // Reassemble this transition's K*group_size Q-vector from its K rows.
-      q_next.clear();
-      for (std::size_t k = 0; k < K; ++k) {
-        for (std::size_t a = 0; a < enc.group_size(); ++a) q_next.push_back(next_q(b * K + k, a));
+    nn::MatrixT<S> pred;
+    std::exception_ptr helper_error, error;
+    const TrainerThread::Ticket ticket = helper_->submit([&] {
+      try {
+        bootstrap_rows(batch, 0, split, beta, targets);
+      } catch (...) {
+        helper_error = std::current_exception();
       }
-      S best_next;
-      if (opts_.double_q) {
-        q_online.clear();
-        for (std::size_t k = 0; k < K; ++k) {
-          for (std::size_t a = 0; a < enc.group_size(); ++a) {
-            q_online.push_back(next_q_online(b * K + k, a));
-          }
-        }
-        best_next = q_next[nn::argmax(q_online)];
-      } else {
-        best_next = q_next[nn::argmax(q_next)];
-      }
-      targets[b] = static_cast<S>(rl::smdp_target(batch[b]->reward_rate, batch[b]->tau, beta,
-                                                  static_cast<double>(best_next)));
-      locals[b] = batch[b]->action % enc.group_size();
-    }
+    });
 
     // Online pass: only the head owning each chosen action receives gradient;
     // weight sharing means the n rows still train the one physical Sub-Q
     // network, and the per-sample gradient sum folds into the backward GEMMs.
-    nn::MatrixT<S> state_groups;
-    state_groups.resize_for_overwrite(n * K, enc.group_state_dim());
-    for (std::size_t b = 0; b < n; ++b) fill_group_rows(state_groups, b * K, batch[b]->state);
-    const nn::MatrixT<S> state_codes = autoencoder_->encode_batch(std::move(state_groups));
-    nn::MatrixT<S> pred_heads;
-    pred_heads.resize_for_overwrite(n, head_input_dim_);
-    for (std::size_t b = 0; b < n; ++b) {
-      const std::size_t group = batch[b]->action / enc.group_size();
-      fill_head_row(pred_heads, b, batch[b]->state, group, state_codes, b * K);
+    try {
+      bootstrap_rows(batch, split, n, beta, targets);
+      nn::MatrixT<S> state_groups;
+      state_groups.resize_for_overwrite(n * K, enc.group_state_dim());
+      for (std::size_t b = 0; b < n; ++b) fill_group_rows(state_groups, b * K, batch[b]->state);
+      const nn::MatrixT<S> state_codes = autoencoder_->encode_batch(std::move(state_groups));
+      nn::MatrixT<S> pred_heads;
+      pred_heads.resize_for_overwrite(n, head_input_dim_);
+      for (std::size_t b = 0; b < n; ++b) {
+        const std::size_t group = batch[b]->action / enc.group_size();
+        fill_head_row(pred_heads, b, batch[b]->state, group, state_codes, b * K);
+        locals[b] = batch[b]->action % enc.group_size();
+      }
+      pred = online_subq_->forward_batch(std::move(pred_heads));
+    } catch (...) {
+      error = std::current_exception();
     }
-    const nn::MatrixT<S> pred = online_subq_->forward_batch(std::move(pred_heads));
+    helper_->wait(ticket);
+    // The helper's rows come first, so its failure is the one a serial
+    // sweep would have met first.
+    if (helper_error) error = helper_error;
+    if (error) {
+      online_subq_->clear_cache();
+      std::rethrow_exception(error);
+    }
+
     const double inv_n = 1.0 / static_cast<double>(n);
     nn::BatchLossResultT<S> loss = nn::masked_huber_loss_batch(pred, locals, targets, S(1),
                                                                static_cast<S>(inv_n));
+    if (!std::isfinite(loss.value)) {
+      online_subq_->clear_cache();
+      throw NonFiniteError("GroupedQNetwork: Huber loss is " + std::to_string(loss.value));
+    }
     online_subq_->backward_batch(loss.grad, /*want_input_grad=*/false);
 
-    nn::clip_grad_norm(online_subq_->params(), opts_.grad_clip);
+    const double grad_norm = nn::clip_grad_norm(online_subq_->params(), opts_.grad_clip);
+    if (!std::isfinite(grad_norm)) {
+      throw NonFiniteError("GroupedQNetwork: gradient norm is " + std::to_string(grad_norm));
+    }
     optimizer_->step();
     return loss.value * inv_n;
   }
@@ -162,6 +169,67 @@ class GroupedQCore {
     net.add_dense(head_input_dim_, opts_.subq_hidden, nn::Activation::kElu, rng);
     net.add_dense(opts_.subq_hidden, opts_.encoder.group_size(), nn::Activation::kIdentity, rng);
     return net;
+  }
+
+  /// Bootstrap targets of transitions [b0, b1) into targets[b0..b1): all
+  /// their next-state group encodes in one autoencoder sweep, then all their
+  /// head rows in one target-network sweep (two when double Q-learning also
+  /// needs the online network's argmax). GEMM rows are independent and each
+  /// keeps its k-order (nn/matrix.hpp), so any split of [0, n) gives the
+  /// one-sweep targets bit for bit. Both sweeps are predict_batch, which
+  /// pushes no layer cache, so two threads may run this at once, beside the
+  /// online forward_batch.
+  void bootstrap_rows(const std::vector<const rl::Transition*>& batch, std::size_t b0,
+                      std::size_t b1, double beta, nn::VecT<S>& targets) {
+    if (b0 == b1) return;
+    const auto& enc = opts_.encoder;
+    const std::size_t K = enc.num_groups;
+    const std::size_t rows = (b1 - b0) * K;
+    nn::MatrixT<S> next_groups;
+    next_groups.resize_for_overwrite(rows, enc.group_state_dim());
+    for (std::size_t b = b0; b < b1; ++b) {
+      fill_group_rows(next_groups, (b - b0) * K, batch[b]->next_state);
+    }
+    const nn::MatrixT<S> next_codes = autoencoder_->encode_batch(std::move(next_groups));
+    nn::MatrixT<S> next_heads;
+    next_heads.resize_for_overwrite(rows, head_input_dim_);
+    for (std::size_t b = b0; b < b1; ++b) {
+      for (std::size_t k = 0; k < K; ++k) {
+        const std::size_t row = (b - b0) * K + k;
+        fill_head_row(next_heads, row, batch[b]->next_state, k, next_codes, (b - b0) * K);
+      }
+    }
+    nn::MatrixT<S> next_q_online;
+    if (opts_.double_q) next_q_online = online_subq_->predict_batch(next_heads);
+    const nn::MatrixT<S> next_q = target_subq_->predict_batch(std::move(next_heads));
+
+    nn::VecT<S> q_next, q_online;
+    for (std::size_t b = b0; b < b1; ++b) {
+      // Reassemble this transition's K*group_size Q-vector from its K rows.
+      const std::size_t row0 = (b - b0) * K;
+      q_next.clear();
+      for (std::size_t k = 0; k < K; ++k) {
+        for (std::size_t a = 0; a < enc.group_size(); ++a) q_next.push_back(next_q(row0 + k, a));
+      }
+      S best_next;
+      if (opts_.double_q) {
+        q_online.clear();
+        for (std::size_t k = 0; k < K; ++k) {
+          for (std::size_t a = 0; a < enc.group_size(); ++a) {
+            q_online.push_back(next_q_online(row0 + k, a));
+          }
+        }
+        best_next = q_next[nn::argmax(q_online)];
+      } else {
+        best_next = q_next[nn::argmax(q_next)];
+      }
+      targets[b] = static_cast<S>(rl::smdp_target(batch[b]->reward_rate, batch[b]->tau, beta,
+                                                  static_cast<double>(best_next)));
+      if (!std::isfinite(targets[b])) {
+        throw NonFiniteError("GroupedQNetwork: bootstrap target is " +
+                             std::to_string(targets[b]));
+      }
+    }
   }
 
   /// Rows row0..row0+K-1 of `dst` = the K group slices of `full_state`.
@@ -250,6 +318,9 @@ class GroupedQCore {
   std::unique_ptr<nn::NetworkT<S>> online_subq_;
   std::unique_ptr<nn::NetworkT<S>> target_subq_;
   std::unique_ptr<nn::AdamT<S>> optimizer_;
+  // Started at the first gradient step, so building a network spawns no
+  // thread; every train_batch joins it before returning.
+  std::unique_ptr<TrainerThread> helper_;
 };
 
 template class GroupedQCore<float>;

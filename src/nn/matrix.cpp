@@ -522,6 +522,16 @@ struct GemmMetrics {
   }
 };
 
+// One GEMM of m*kk*n multiply-accumulates, counted where gemm/gemm_nt/
+// gemm_tn are entered, so every kernel path (the small-batch ones included)
+// shows in nn.gemm.*.
+void count_gemm(std::size_t m, std::size_t kk, std::size_t n) noexcept {
+  if (!telemetry::enabled()) return;
+  const GemmMetrics& gm = GemmMetrics::get();
+  telemetry::count(gm.calls);
+  telemetry::count(gm.macs, static_cast<std::uint64_t>(m) * kk * n);
+}
+
 // Threading driver: row-block the M dimension into one contiguous chunk per
 // worker (aligned to the micro-tile). Each chunk runs the unmodified serial
 // kernel over its row range and every output row keeps its full k reduction
@@ -529,11 +539,6 @@ struct GemmMetrics {
 template <class S>
 void tile_mul(const S* a, const S* bkn, S* c, std::size_t m, std::size_t kk, std::size_t n,
               bool accumulate) {
-  if (telemetry::enabled()) {
-    const GemmMetrics& gm = GemmMetrics::get();
-    telemetry::count(gm.calls);
-    telemetry::count(gm.macs, static_cast<std::uint64_t>(m) * kk * n);
-  }
   const std::size_t threads = gemm_threads();
   if (threads > 1 && m >= 2 * Tile<S>::kM && m * kk * n >= kMinMacsPerThread * 2) {
     const std::size_t want =
@@ -552,6 +557,68 @@ void tile_mul(const S* a, const S* bkn, S* c, std::size_t m, std::size_t kk, std
     }
   }
   tile_mul_serial(a, bkn, c, m, kk, n, accumulate);
+}
+
+// gemm_nt's small-batch kernel: c (kM x n) = or += a (kM x kk) * b^T, with
+// b (n x kk) row-major and kM below the tile height (one decision's K head
+// rows, a batch-1 LSTM step). A column block's B values are gathered once
+// per k into vector lanes, one lane per output column, and reused by all kM
+// rows; each lane accumulates its element's products in increasing k order
+// (0 + p0 + p1 + ...) and lands on C with a single store or add, exactly
+// like the micro-kernel, so results are identical. Tail columns run the
+// same k-ordered sum as a scalar dot product.
+template <std::size_t kM, class S>
+void small_nt_rows(const S* a, const S* b, S* c, std::size_t kk, std::size_t n,
+                   bool accumulate) {
+  auto store = [&](S* dst, S acc) {
+    if (accumulate) {
+      *dst += acc;
+    } else {
+      *dst = acc;
+    }
+  };
+  std::size_t j0 = 0;
+#if HCRL_GEMM_VECTOR_EXT
+  typedef S V __attribute__((vector_size(16)));
+  constexpr std::size_t kLanes = 16 / sizeof(S);
+  // Independent accumulator chains hide the add latency; one row gets more
+  // of them, since its block has no other rows to interleave with.
+  constexpr std::size_t kNV = kM == 1 ? 4 : 2;
+  constexpr std::size_t kCols = kLanes * kNV;
+  for (; j0 + kCols <= n; j0 += kCols) {
+    V acc[kM][kNV] = {};
+    const S* bj = b + j0 * kk;
+    for (std::size_t k = 0; k < kk; ++k) {
+      V bv[kNV];
+      for (std::size_t v = 0; v < kNV; ++v) {
+        S lanes[kLanes];
+        for (std::size_t l = 0; l < kLanes; ++l) lanes[l] = bj[(v * kLanes + l) * kk + k];
+        __builtin_memcpy(&bv[v], lanes, sizeof(V));
+      }
+      for (std::size_t i = 0; i < kM; ++i) {
+        const S aik = a[i * kk + k];
+        V av = {};
+        for (std::size_t l = 0; l < kLanes; ++l) av[l] = aik;
+        for (std::size_t v = 0; v < kNV; ++v) acc[i][v] += av * bv[v];
+      }
+    }
+    for (std::size_t i = 0; i < kM; ++i) {
+      S* crow = c + i * n + j0;
+      for (std::size_t v = 0; v < kNV; ++v) {
+        for (std::size_t l = 0; l < kLanes; ++l) store(crow + v * kLanes + l, acc[i][v][l]);
+      }
+    }
+  }
+#endif
+  for (std::size_t i = 0; i < kM; ++i) {
+    const S* arow = a + i * kk;
+    for (std::size_t j = j0; j < n; ++j) {
+      const S* brow = b + j * kk;
+      S acc = S(0);
+      for (std::size_t k = 0; k < kk; ++k) acc += arow[k] * brow[k];
+      store(c + i * n + j, acc);
+    }
+  }
 }
 
 }  // namespace
@@ -573,6 +640,7 @@ void gemm(const MatrixT<S>& A, const MatrixT<S>& B, MatrixT<S>& C, bool accumula
   }
   const std::size_t m = A.rows(), kk = A.cols(), n = B.cols();
   prepare_output(C, m, n, accumulate, "gemm");
+  count_gemm(m, kk, n);
   // Small-batch path: accumulate rows of B directly into the output row —
   // contiguous walks; k = 0 seeds the row, so the incremental adds round
   // exactly like the micro-kernel's register sums (0 + p0 is exact).
@@ -608,6 +676,7 @@ void gemm_tn(const MatrixT<S>& A, const MatrixT<S>& B, MatrixT<S>& C, bool accum
   }
   const std::size_t kk = A.rows(), m = A.cols(), n = B.cols();
   prepare_output(C, m, n, accumulate, "gemm_tn");
+  count_gemm(m, kk, n);
   // Pack A^T (m x kk) once — O(m*kk), amortized over the m*kk*n kernel work.
   auto& scratch = pack_scratch<S>();
   scratch.resize(m * kk);
@@ -624,6 +693,7 @@ void gemm_nt(const MatrixT<S>& A, const MatrixT<S>& B, MatrixT<S>& C, bool accum
   }
   const std::size_t m = A.rows(), kk = A.cols(), n = B.rows();
   prepare_output(C, m, n, accumulate, "gemm_nt");
+  count_gemm(m, kk, n);
   const S* a = A.data();
   const S* b = B.data();
   S* c = C.data();
@@ -637,23 +707,13 @@ void gemm_nt(const MatrixT<S>& A, const MatrixT<S>& B, MatrixT<S>& C, bool accum
     tile_mul(a, bt, c, m, kk, n, accumulate);
     return;
   }
-  // Small-batch path: both operands walked along contiguous rows; skipping
-  // the pack is cheaper below the tile height. Same k-ordered register dot
-  // and single store/add per element as the micro-kernel, so results are
-  // identical.
-  for (std::size_t i = 0; i < m; ++i) {
-    const S* arow = a + i * kk;
-    S* crow = c + i * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      const S* brow = b + j * kk;
-      S acc = S(0);
-      for (std::size_t k = 0; k < kk; ++k) acc += arow[k] * brow[k];
-      if (accumulate) {
-        crow[j] += acc;
-      } else {
-        crow[j] = acc;
-      }
-    }
+  // Small-batch path: skipping the pack is cheaper below the tile height.
+  static_assert(Tile<S>::kM == 4, "the small-batch kernel covers m = 1..3");
+  switch (m) {
+    case 1: small_nt_rows<1>(a, b, c, kk, n, accumulate); break;
+    case 2: small_nt_rows<2>(a, b, c, kk, n, accumulate); break;
+    case 3: small_nt_rows<3>(a, b, c, kk, n, accumulate); break;
+    default: break;  // m == 0
   }
 }
 

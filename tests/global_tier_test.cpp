@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <exception>
 #include <stdexcept>
+#include <string>
 
+#include "src/core/nonfinite.hpp"
+#include "src/core/runner.hpp"
+#include "src/core/scenario.hpp"
 #include "src/sim/cluster.hpp"
 #include "src/workload/generator.hpp"
 
@@ -158,6 +163,30 @@ TEST(DrlAllocator, RewardPrefersLowPowerTrajectories) {
   // * (some fraction): at minimum strictly negative.
   EXPECT_GT(alloc.train_steps(), 0);
   EXPECT_GE(alloc.last_loss(), 0.0);
+}
+
+TEST(DrlAllocator, DivergingDqnFailsItsCellLoudly) {
+  // Same cell twice in one batch; only the one whose DQN learning rate
+  // diverges may fail, and it must fail with the named error rather than
+  // produce a result.
+  const Scenario healthy = ScenarioRegistry::builtin().make("tiny/drl-only", 600);
+  Scenario diverging = healthy;
+  diverging.name += "/diverging";
+  diverging.config.drl.qnet.learning_rate = 1e300;
+  const std::vector<ScenarioOutcome> out = SerialRunner().run_outcomes({diverging, healthy});
+  ASSERT_EQ(out.size(), 2u);
+  ASSERT_FALSE(out[0].ok());
+  try {
+    std::rethrow_exception(out[0].error);
+  } catch (const NonFiniteError& e) {
+    // The first guard to see the diverged weights is the next decision's
+    // Q-row (or, after a target sync, the step's bootstrap targets).
+    const std::string what = e.what();
+    EXPECT_TRUE(what.find("DrlAllocator: Q-value") != std::string::npos ||
+                what.find("GroupedQNetwork") != std::string::npos)
+        << what;
+  }
+  EXPECT_TRUE(out[1].ok());
 }
 
 }  // namespace

@@ -8,10 +8,7 @@
 // The goldens are pinned for the CI toolchain (x86-64 GCC, glibc libm); a
 // different compiler or libm may legitimately round differently.
 //
-// A second set pins the global tier's NN numerics directly: the grouped
-// Sub-Q network's parameters after a fixed run of seeded gradient steps at
-// the table1/m30 shapes. A numerics change that flips no decision in the
-// short registry cells still shows there.
+// dqn_golden_test pins the global tier's NN numerics the same way.
 //
 // Regenerate with scripts/regen_goldens.sh (it sets HCRL_REGEN_GOLDENS=1,
 // which makes this suite write the files instead of comparing). Every golden
@@ -19,26 +16,21 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
-#include <cstdarg>
-#include <cstdio>
-#include <cstdint>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "src/core/qnetwork.hpp"
 #include "src/core/runner.hpp"
 #include "src/core/scenario.hpp"
 #include "src/nn/precision.hpp"
+#include "tests/golden_file.hpp"
 
 namespace hcrl {
 namespace {
 
 using core::ExperimentResult;
 using core::ScenarioRegistry;
+using test::appendf;
+using test::check_golden;
 
 struct Cell {
   std::string scenario;
@@ -71,15 +63,6 @@ std::string cell_id(const Cell& c) {
     if (ch == '/') ch = '_';
   }
   return id;
-}
-
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof buf, fmt, args);
-  va_end(args);
-  out += buf;
 }
 
 std::string render(const Cell& c, const ExperimentResult& r) {
@@ -121,23 +104,6 @@ std::string golden_path(const Cell& c) {
   return std::string(HCRL_GOLDEN_DIR) + "/" + cell_id(c) + ".txt";
 }
 
-/// Compare `actual` with the committed golden at `path`, or rewrite the file
-/// when HCRL_REGEN_GOLDENS=1.
-void check_golden(const std::string& path, const std::string& actual) {
-  const char* regen = std::getenv("HCRL_REGEN_GOLDENS");
-  if (regen != nullptr && std::string(regen) == "1") {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(out) << "cannot write " << path;
-    out << actual;
-    return;
-  }
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in) << "missing golden " << path << " (run scripts/regen_goldens.sh)";
-  std::ostringstream expected;
-  expected << in.rdbuf();
-  EXPECT_EQ(actual, expected.str()) << "behaviour drifted from " << path;
-}
-
 class GoldenResults : public ::testing::TestWithParam<Cell> {};
 
 TEST_P(GoldenResults, MatchesCommittedGolden) {
@@ -150,106 +116,6 @@ TEST_P(GoldenResults, MatchesCommittedGolden) {
 INSTANTIATE_TEST_SUITE_P(Registry, GoldenResults, ::testing::ValuesIn(cells()),
                          [](const ::testing::TestParamInfo<Cell>& info) {
                            std::string id = cell_id(info.param);
-                           for (char& ch : id) {
-                             if (std::isalnum(static_cast<unsigned char>(ch)) == 0) ch = '_';
-                           }
-                           return id;
-                         });
-
-// ---- DQN training numerics ------------------------------------------------
-
-struct DqnCell {
-  bool double_q;
-  nn::Precision precision;
-};
-
-std::string dqn_cell_id(const DqnCell& c) {
-  return std::string("dqn_m30") + (c.double_q ? "_double-q." : ".") +
-         nn::to_string(c.precision);
-}
-
-constexpr int kDqnSteps = 240;
-constexpr std::size_t kDqnBatch = 32;  // DrlAllocatorOptions::batch_size
-constexpr double kDqnBeta = 0.05;      // DrlAllocatorOptions::beta
-constexpr std::size_t kParamStride = 61;
-
-/// `kDqnSteps` seeded gradient steps of a table1/m30-shaped network (30
-/// servers in 3 groups, 3 resources, paper layer widths) on minibatches
-/// drawn from a fixed synthetic replay, with a target sync every 50 steps
-/// and the autoencoder fed one state per step, as the allocator does. The
-/// text holds every step's loss, the parameter count, an FNV-1a hash over
-/// the bit patterns of all of param_values() and every kParamStride-th
-/// value, all as `%a`.
-std::string render_dqn(const DqnCell& c) {
-  core::GroupedQOptions o;
-  o.encoder.num_servers = 30;
-  o.encoder.num_groups = 3;
-  o.encoder.num_resources = 3;
-  o.double_q = c.double_q;
-  o.precision = c.precision;
-  common::Rng rng(2024);
-  core::GroupedQNetwork net(o, rng);
-
-  common::Rng data(17);
-  auto state = [&] {
-    nn::Vec s(net.state_dim());
-    for (double& v : s) v = data.uniform();
-    return s;
-  };
-  std::vector<rl::Transition> replay(600);
-  for (rl::Transition& t : replay) {
-    t.state = state();
-    t.next_state = state();
-    t.action = static_cast<std::size_t>(
-        data.uniform_int(0, static_cast<std::int64_t>(net.num_actions()) - 1));
-    t.reward_rate = -data.uniform() * 2.0;
-    t.tau = data.exponential(1.0 / 20.0);
-  }
-
-  std::string out;
-  appendf(out, "network = m30 (%zu servers, %zu groups)\nprecision = %s\ndouble_q = %d\n",
-          o.encoder.num_servers, o.encoder.num_groups, nn::to_string(c.precision).c_str(),
-          c.double_q ? 1 : 0);
-  appendf(out, "steps = %d\nbatch = %zu\n", kDqnSteps, kDqnBatch);
-  std::vector<const rl::Transition*> batch(kDqnBatch);
-  for (int step = 0; step < kDqnSteps; ++step) {
-    for (auto& t : batch) {
-      t = &replay[static_cast<std::size_t>(
-          data.uniform_int(0, static_cast<std::int64_t>(replay.size()) - 1))];
-    }
-    net.observe_state(batch.front()->state, data);
-    appendf(out, "loss[%d] = %a\n", step, net.train_batch(batch, kDqnBeta));
-    if ((step + 1) % 50 == 0) net.sync_target();
-  }
-  const std::vector<double> params = net.param_values();
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const double v : params) {
-    unsigned char bytes[sizeof v];
-    std::memcpy(bytes, &v, sizeof v);
-    for (const unsigned char b : bytes) hash = (hash ^ b) * 0x100000001b3ULL;
-  }
-  appendf(out, "param_count = %zu\nparam_fnv1a64 = %016llx\n", params.size(),
-          static_cast<unsigned long long>(hash));
-  for (std::size_t i = 0; i < params.size(); i += kParamStride) {
-    appendf(out, "param[%zu] = %a\n", i, params[i]);
-  }
-  return out;
-}
-
-class DqnParamGolden : public ::testing::TestWithParam<DqnCell> {};
-
-TEST_P(DqnParamGolden, MatchesCommittedGolden) {
-  const DqnCell& c = GetParam();
-  check_golden(std::string(HCRL_GOLDEN_DIR) + "/" + dqn_cell_id(c) + ".txt", render_dqn(c));
-}
-
-INSTANTIATE_TEST_SUITE_P(Training, DqnParamGolden,
-                         ::testing::Values(DqnCell{false, nn::Precision::kF64},
-                                           DqnCell{false, nn::Precision::kF32},
-                                           DqnCell{true, nn::Precision::kF64},
-                                           DqnCell{true, nn::Precision::kF32}),
-                         [](const ::testing::TestParamInfo<DqnCell>& info) {
-                           std::string id = dqn_cell_id(info.param);
                            for (char& ch : id) {
                              if (std::isalnum(static_cast<unsigned char>(ch)) == 0) ch = '_';
                            }

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <initializer_list>
 #include <stdexcept>
 
 #include "src/common/rng.hpp"
+#include "src/telemetry/registry.hpp"
 
 namespace hcrl::nn {
 namespace {
@@ -253,6 +256,76 @@ TEST(Gemm, BatchOneMatchesMatrixVectorKernels) {
   for (std::size_t r = 0; r < 5; ++r) {
     for (std::size_t c = 0; c < 3; ++c) EXPECT_DOUBLE_EQ(gW(r, c), gW_ref(r, c));
   }
+}
+
+template <class S>
+bool same_bits(S x, S y) {
+  return std::memcmp(&x, &y, sizeof x) == 0;
+}
+
+template <class S>
+void check_small_batch_nt() {
+  // Below the tile height gemm_nt takes its small-batch kernel: vector lanes
+  // across output columns plus scalar tail columns. Every element must equal
+  // the k-ordered scalar dot (0 + p0 + p1 + ...) with one store or add into
+  // C, bit for bit, for every row count, column tail and k length.
+  common::Rng rng(21);
+  for (const std::size_t m : {1u, 2u, 3u}) {
+    for (const std::size_t kk : {0u, 1u, 5u, 30u, 84u}) {
+      for (const std::size_t n : {1u, 3u, 7u, 8u, 9u, 15u, 17u, 33u, 128u}) {
+        for (const bool accumulate : {false, true}) {
+          SCOPED_TRACE(testing::Message() << m << "x" << kk << "x" << n << " acc=" << accumulate);
+          MatrixT<S> A(m, kk), B(n, kk), C(m, n);
+          for (MatrixT<S>* M : {&A, &B, &C}) {
+            for (std::size_t i = 0; i < M->size(); ++i) {
+              M->data()[i] = static_cast<S>(rng.uniform(-2, 2));
+            }
+          }
+          MatrixT<S> expected = C;
+          for (std::size_t i = 0; i < m; ++i) {
+            for (std::size_t j = 0; j < n; ++j) {
+              S acc = S(0);
+              for (std::size_t k = 0; k < kk; ++k) acc += A(i, k) * B(j, k);
+              expected(i, j) = accumulate ? expected(i, j) + acc : acc;
+            }
+          }
+          gemm_nt(A, B, C, accumulate);
+          for (std::size_t i = 0; i < C.size(); ++i) {
+            ASSERT_TRUE(same_bits(C.data()[i], expected.data()[i])) << "element " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Gemm, SmallBatchNtMatchesKOrderedDotBitForBit) {
+  check_small_batch_nt<double>();
+  check_small_batch_nt<float>();
+}
+
+TEST(Gemm, EveryEntryPointIsCounted) {
+  // nn.gemm.calls/macs count each gemm/gemm_nt/gemm_tn call, the
+  // small-batch paths included.
+  auto& reg = telemetry::global_registry();
+  auto counts = [&] {
+    const telemetry::RegistrySnapshot snap = reg.snapshot();
+    const telemetry::MetricValue* calls = snap.find("nn.gemm.calls");
+    const telemetry::MetricValue* macs = snap.find("nn.gemm.macs");
+    return std::pair<std::uint64_t, std::uint64_t>{calls ? calls->count : 0,
+                                                   macs ? macs->count : 0};
+  };
+  Matrix row(1, 6, 0.5), W(4, 6, 0.25), tall(8, 6, 1.0), dY(8, 4, 1.0), C, D;
+  telemetry::set_enabled(true);
+  const auto before = counts();
+  gemm_nt(row, W, C);   // small-batch nt: 1 x 6 x 4
+  gemm(C, W, D);        // small-batch nn: 1 x 4 x 6
+  gemm_nt(tall, W, C);  // tiled nt: 8 x 6 x 4
+  gemm_tn(dY, tall, C); // tn: 4 x 8 x 6
+  const auto after = counts();
+  telemetry::set_enabled(false);
+  EXPECT_EQ(after.first - before.first, 4u);
+  EXPECT_EQ(after.second - before.second, 24u + 24u + 192u + 192u);
 }
 
 TEST(MatrixRowHelpers, FromRowsRowSetRowColSums) {

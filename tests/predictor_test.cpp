@@ -206,7 +206,7 @@ class Gate {
 class LstmTrainerParity : public ::testing::TestWithParam<nn::Precision> {};
 
 TEST_P(LstmTrainerParity, MatchesInlineBitForBit) {
-  TrainerThread trainer;
+  TrainerThread trainer("lstm-trainer");
   LstmPredictor inline_p(small_lstm(GetParam()));
   LstmPredictor threaded(small_lstm(GetParam()));
   threaded.set_trainer(&trainer);
@@ -243,7 +243,7 @@ TEST(LstmTrainer, EveryAccessWaitsForTheQueuedRound) {
   };
   for (const auto& [name, access] : accesses) {
     SCOPED_TRACE(name);
-    TrainerThread trainer;
+    TrainerThread trainer("lstm-trainer");
     LstmPredictor inline_p(small_lstm());
     LstmPredictor threaded(small_lstm());
     threaded.set_trainer(&trainer);
@@ -261,7 +261,7 @@ TEST(LstmTrainer, EveryAccessWaitsForTheQueuedRound) {
 }
 
 TEST(LstmTrainer, DestroyingWithQueuedRoundsIsClean) {
-  TrainerThread trainer;
+  TrainerThread trainer("lstm-trainer");
   std::promise<void> destroyed;
   {
     Gate gate(trainer);
@@ -275,7 +275,7 @@ TEST(LstmTrainer, DestroyingWithQueuedRoundsIsClean) {
     done.get();
   }
   // Also with the rounds still running when the trainer itself goes.
-  auto trainer2 = std::make_unique<TrainerThread>();
+  auto trainer2 = std::make_unique<TrainerThread>("lstm-trainer");
   auto p = std::make_unique<LstmPredictor>(small_lstm());
   p->set_trainer(trainer2.get());
   for (int i = 0; i < 400; ++i) p->observe(5.0 + i % 7);
@@ -292,7 +292,7 @@ LstmPredictorOptions diverging_lstm() {
 TEST(LstmTrainer, RoundFailureSurfacesAtTheNextAccess) {
   for (const bool threaded : {false, true}) {
     SCOPED_TRACE(threaded ? "trainer" : "inline");
-    TrainerThread trainer;
+    TrainerThread trainer("lstm-trainer");
     LstmPredictor p(diverging_lstm());
     if (threaded) p.set_trainer(&trainer);
     for (int i = 0; i < 200; ++i) EXPECT_NO_THROW(p.observe(30.0 + i % 5));  // never blocks

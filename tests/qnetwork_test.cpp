@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <stdexcept>
+#include <vector>
+
+#include "src/core/nonfinite.hpp"
 
 namespace hcrl::core {
 namespace {
@@ -112,6 +117,106 @@ TEST(GroupedQNetwork, TrainBatchRejectsEmpty) {
   common::Rng rng(8);
   GroupedQNetwork net(small_opts(), rng);
   EXPECT_THROW(net.train_batch({}, 0.5), std::invalid_argument);
+}
+
+std::vector<rl::Transition> random_transitions(const GroupedQOptions& o, std::size_t n,
+                                               common::Rng& rng) {
+  std::vector<rl::Transition> out(n);
+  for (rl::Transition& t : out) {
+    t.state = random_state(o, rng);
+    t.next_state = random_state(o, rng);
+    t.action = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(o.encoder.num_servers) - 1));
+    t.reward_rate = -rng.uniform();
+    t.tau = 1.0 + rng.uniform();
+  }
+  return out;
+}
+
+std::vector<const rl::Transition*> pointers(const std::vector<rl::Transition>& ts) {
+  std::vector<const rl::Transition*> out;
+  for (const rl::Transition& t : ts) out.push_back(&t);
+  return out;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(GroupedQNetwork, BadStateInEitherThreadsRowsThrowsAndLeavesTheNetworkUsable) {
+  // train_batch computes the bootstrap targets of the first ~2/3 of the
+  // batch on its helper thread and the rest, plus the online pass, on the
+  // caller. A bad state on either side must surface from train_batch after
+  // the helper is joined, and leave the network exactly as it was.
+  const auto o = small_opts();
+  common::Rng data(30);
+  const std::vector<rl::Transition> good = random_transitions(o, 9, data);
+  struct Case {
+    const char* name;
+    std::size_t index;
+    bool next_state;
+  };
+  for (const Case c : {Case{"helper next_state", 0, true}, Case{"caller next_state", 8, true},
+                       Case{"caller state", 2, false}}) {
+    SCOPED_TRACE(c.name);
+    common::Rng rng_a(31), rng_b(31);
+    GroupedQNetwork failed(o, rng_a);
+    GroupedQNetwork twin(o, rng_b);
+    std::vector<rl::Transition> bad = good;
+    (c.next_state ? bad[c.index].next_state : bad[c.index].state).resize(3);
+    EXPECT_THROW(failed.train_batch(pointers(bad), 0.5), std::invalid_argument);
+    EXPECT_TRUE(same_bits(failed.param_values(), twin.param_values()));
+    for (int step = 0; step < 3; ++step) {
+      const double a = failed.train_batch(pointers(good), 0.5);
+      const double b = twin.train_batch(pointers(good), 0.5);
+      EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0) << "step " << step;
+    }
+    EXPECT_TRUE(same_bits(failed.param_values(), twin.param_values()));
+  }
+}
+
+TEST(GroupedQNetwork, DoubleQStepUsesTheOnlineArgmax) {
+  // Right after a target sync the online and target networks agree, so the
+  // online argmax picks the same bootstrap action and a double-Q step equals
+  // a plain one bit for bit. Once the online network has moved on without a
+  // sync, the two bootstrap rules (and so the steps) differ.
+  auto plain_opts = small_opts();
+  auto double_opts = small_opts();
+  double_opts.double_q = true;
+  common::Rng rng_a(40), rng_b(40), data(41);
+  GroupedQNetwork plain(plain_opts, rng_a);
+  GroupedQNetwork dq(double_opts, rng_b);
+  const std::vector<rl::Transition> ts = random_transitions(plain_opts, 32, data);
+  const auto batch = pointers(ts);
+  const double a = plain.train_batch(batch, 0.5);
+  const double b = dq.train_batch(batch, 0.5);
+  EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0);
+  EXPECT_TRUE(same_bits(plain.param_values(), dq.param_values()));
+  for (int step = 0; step < 20; ++step) {
+    plain.train_batch(batch, 0.5);
+    dq.train_batch(batch, 0.5);
+  }
+  EXPECT_FALSE(same_bits(plain.param_values(), dq.param_values()));
+  EXPECT_TRUE(std::isfinite(dq.train_batch(batch, 0.5)));
+}
+
+TEST(GroupedQNetwork, DivergingStepThrowsNonFiniteError) {
+  // One Adam step at learning rate 1e300 moves every Sub-Q weight by ~1e300;
+  // the next step's bootstrap targets overflow. The step fails with the
+  // named error instead of training on them.
+  auto o = small_opts();
+  o.learning_rate = 1e300;
+  common::Rng rng(50), data(51);
+  GroupedQNetwork net(o, rng);
+  const std::vector<rl::Transition> ts = random_transitions(o, 8, data);
+  EXPECT_TRUE(std::isfinite(net.train_batch(pointers(ts), 0.5)));
+  net.sync_target();
+  try {
+    net.train_batch(pointers(ts), 0.5);
+    FAIL() << "expected NonFiniteError";
+  } catch (const NonFiniteError& e) {
+    EXPECT_NE(std::string(e.what()).find("GroupedQNetwork"), std::string::npos) << e.what();
+  }
 }
 
 TEST(GroupedQNetwork, ObserveStateTrainsAutoencoderEventually) {

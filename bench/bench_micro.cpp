@@ -8,7 +8,6 @@
 #include "src/core/state.hpp"
 #include "src/nn/init.hpp"
 #include "src/nn/lstm.hpp"
-#include "src/rl/dqn.hpp"
 #include "src/rl/smdp.hpp"
 #include "src/rl/tabular_q.hpp"
 #include "src/sim/cluster.hpp"
@@ -96,64 +95,45 @@ void BM_GemmF32(benchmark::State& state) { run_gemm_grid<float>(state); }
 BENCHMARK(BM_GemmF32)->Args({512, 32, 1})->Args({512, 32, 2})->Args({512, 512, 1})
     ->Args({512, 512, 2})->Args({512, 512, 4})->UseRealTime();
 
-// The acceptance benchmark for the batched path: one DQN SGD step on a
-// 32-transition minibatch, per-sample loop vs batched GEMM path — and the
-// precision/GEMM-thread grid of the f32 compute mode on the batched cell.
-void run_dqn_train_step(benchmark::State& state, bool batched,
-                        nn::Precision precision = nn::Precision::kF64,
-                        std::size_t gemm_threads = 1) {
+// One global-tier DQN gradient step (GroupedQNetwork::train_batch) on a
+// 32-transition minibatch at the paper's M=30, K=3 shape. The step runs its
+// bootstrap targets partly on the `dqn-bootstrap` helper thread, so the
+// cells report wall-clock time.
+void run_grouped_q_train_step(benchmark::State& state, nn::Precision precision) {
   common::Rng rng(11);
-  rl::DqnAgent::Options o;
-  o.hidden_dims = {128};
-  o.batch_size = 32;
-  o.min_replay_before_training = 64;
-  o.train_interval = 1000000;  // train explicitly, not inside observe()
-  o.target_sync_interval = 1000000;
-  o.batched_train = batched;
+  core::GroupedQOptions o;
+  o.encoder.num_servers = 30;
+  o.encoder.num_groups = 3;
   o.precision = precision;
-  nn::set_gemm_threads(gemm_threads);
-  const std::size_t state_dim = 24, n_actions = 30;
-  rl::DqnAgent agent(state_dim, n_actions, o, rng);
+  core::GroupedQNetwork net(o, rng);
   common::Rng data(12);
-  for (int i = 0; i < 256; ++i) {
-    rl::Transition t;
-    t.state.resize(state_dim);
-    t.next_state.resize(state_dim);
-    for (auto& v : t.state) v = data.uniform(-1.0, 1.0);
-    for (auto& v : t.next_state) v = data.uniform(-1.0, 1.0);
-    t.action = static_cast<std::size_t>(
-        data.uniform_int(0, static_cast<std::int64_t>(n_actions) - 1));
+  std::vector<rl::Transition> transitions(32);
+  for (auto& t : transitions) {
+    t.state.resize(o.encoder.full_state_dim());
+    t.next_state.resize(o.encoder.full_state_dim());
+    for (auto& v : t.state) v = data.uniform();
+    for (auto& v : t.next_state) v = data.uniform();
+    t.action = static_cast<std::size_t>(data.uniform_int(0, 29));
     t.reward_rate = -1.0;
     t.tau = 1.0;
-    agent.observe(std::move(t));
   }
+  std::vector<const rl::Transition*> batch;
+  for (const auto& t : transitions) batch.push_back(&t);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(agent.train_step());
+    benchmark::DoNotOptimize(net.train_batch(batch, 0.05));
   }
-  nn::set_gemm_threads(1);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 32);
 }
 
-void BM_DqnTrainStepPerSample(benchmark::State& state) { run_dqn_train_step(state, false); }
-BENCHMARK(BM_DqnTrainStepPerSample);
-
-void BM_DqnTrainStepBatched(benchmark::State& state) { run_dqn_train_step(state, true); }
-BENCHMARK(BM_DqnTrainStepBatched);
-
-void BM_DqnTrainStepBatchedF32(benchmark::State& state) {
-  run_dqn_train_step(state, true, nn::Precision::kF32);
+void BM_GroupedQTrainStep(benchmark::State& state) {
+  run_grouped_q_train_step(state, nn::Precision::kF64);
 }
-BENCHMARK(BM_DqnTrainStepBatchedF32);
+BENCHMARK(BM_GroupedQTrainStep)->UseRealTime();
 
-void BM_DqnTrainStepBatchedT2(benchmark::State& state) {
-  run_dqn_train_step(state, true, nn::Precision::kF64, 2);
+void BM_GroupedQTrainStepF32(benchmark::State& state) {
+  run_grouped_q_train_step(state, nn::Precision::kF32);
 }
-BENCHMARK(BM_DqnTrainStepBatchedT2)->UseRealTime();
-
-void BM_DqnTrainStepBatchedF32T2(benchmark::State& state) {
-  run_dqn_train_step(state, true, nn::Precision::kF32, 2);
-}
-BENCHMARK(BM_DqnTrainStepBatchedF32T2)->UseRealTime();
+BENCHMARK(BM_GroupedQTrainStepF32)->UseRealTime();
 
 // Batched LSTM sweep vs running the same windows one at a time — the
 // predictor's multi-window prediction path.

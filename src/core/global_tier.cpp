@@ -22,8 +22,8 @@ template <class Row>
 std::size_t live_argmax(const Row& q, const sim::ClusterView& cluster) {
   for (std::size_t i = 0; i < q.size(); ++i) {
     if (!std::isfinite(q[i])) {
-      throw NonFiniteError("DrlAllocator: Q-value of server " + std::to_string(i) + " is " +
-                           std::to_string(q[i]));
+      fail_nonfinite("global.nonfinite", "DrlAllocator: Q-value of server " +
+                                             std::to_string(i) + " is " + std::to_string(q[i]));
     }
   }
   if (cluster.servers_failed() == 0) return nn::argmax(q);

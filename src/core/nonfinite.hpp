@@ -2,6 +2,9 @@
 #pragma once
 
 #include <stdexcept>
+#include <string>
+
+#include "src/telemetry/registry.hpp"
 
 namespace hcrl::core {
 
@@ -13,5 +16,12 @@ class NonFiniteError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+/// Counts the failure on the tier's `counter` ("global.nonfinite" or
+/// "local.nonfinite") when telemetry is on, then throws NonFiniteError.
+[[noreturn]] inline void fail_nonfinite(const char* counter, const std::string& what) {
+  if (telemetry::enabled()) telemetry::count(telemetry::global_registry().counter(counter));
+  throw NonFiniteError(what);
+}
 
 }  // namespace hcrl::core

@@ -220,7 +220,8 @@ class LstmNetCore {
     optimizer_->zero_grad();
     nn::LossResultT<S> loss = nn::mse_loss(nn::VecT<S>{pred}, nn::VecT<S>{target});
     if (!std::isfinite(loss.value)) {
-      throw NonFiniteError("LstmPredictor: training loss is " + std::to_string(loss.value));
+      fail_nonfinite("local.nonfinite",
+                     "LstmPredictor: training loss is " + std::to_string(loss.value));
     }
     // Loss is attached to the last step's output only (next-value
     // prediction); BPTT carries it back through every cached step.
@@ -357,7 +358,7 @@ std::vector<double> LstmPredictor::predict_windows(const std::vector<std::size_t
   for (auto& v : out) {
     // denormalize() clamps at zero, which would turn a NaN into a 0 s gap.
     if (!std::isfinite(v)) {
-      throw NonFiniteError("LstmPredictor: prediction is " + std::to_string(v));
+      fail_nonfinite("local.nonfinite", "LstmPredictor: prediction is " + std::to_string(v));
     }
     v = denormalize(v);
   }

@@ -130,13 +130,15 @@ class GroupedQCore {
                                                                static_cast<S>(inv_n));
     if (!std::isfinite(loss.value)) {
       online_subq_->clear_cache();
-      throw NonFiniteError("GroupedQNetwork: Huber loss is " + std::to_string(loss.value));
+      fail_nonfinite("global.nonfinite",
+                     "GroupedQNetwork: Huber loss is " + std::to_string(loss.value));
     }
     online_subq_->backward_batch(loss.grad, /*want_input_grad=*/false);
 
     const double grad_norm = nn::clip_grad_norm(online_subq_->params(), opts_.grad_clip);
     if (!std::isfinite(grad_norm)) {
-      throw NonFiniteError("GroupedQNetwork: gradient norm is " + std::to_string(grad_norm));
+      fail_nonfinite("global.nonfinite",
+                     "GroupedQNetwork: gradient norm is " + std::to_string(grad_norm));
     }
     optimizer_->step();
     return loss.value * inv_n;
@@ -154,7 +156,7 @@ class GroupedQCore {
   std::size_t subq_param_count() const { return online_subq_->param_count(); }
   std::size_t autoencoder_param_count() const { return autoencoder_->param_count(); }
 
-  std::vector<nn::ParamBlockPtrT<S>> trainable_params_typed() const {
+  std::vector<nn::ParamBlockPtrT<S>> trainable_params() const {
     auto out = online_subq_->params();
     auto ae = autoencoder_->params();
     out.insert(out.end(), ae.begin(), ae.end());
@@ -226,8 +228,8 @@ class GroupedQCore {
       targets[b] = static_cast<S>(rl::smdp_target(batch[b]->reward_rate, batch[b]->tau, beta,
                                                   static_cast<double>(best_next)));
       if (!std::isfinite(targets[b])) {
-        throw NonFiniteError("GroupedQNetwork: bootstrap target is " +
-                             std::to_string(targets[b]));
+        fail_nonfinite("global.nonfinite",
+                       "GroupedQNetwork: bootstrap target is " + std::to_string(targets[b]));
       }
     }
   }
@@ -404,33 +406,25 @@ std::size_t GroupedQNetwork::autoencoder_param_count() const {
   return f32_ ? f32_->autoencoder_param_count() : f64_->autoencoder_param_count();
 }
 
-std::vector<nn::ParamBlockPtr> GroupedQNetwork::trainable_params() const {
-  if (!f64_) {
-    throw std::logic_error(
-        "GroupedQNetwork::trainable_params: network is f32; use param_values()");
-  }
-  return f64_->trainable_params_typed();
-}
-
 std::vector<double> GroupedQNetwork::param_values() const {
-  return f32_ ? nn::flatten_param_values(f32_->trainable_params_typed())
-              : nn::flatten_param_values(f64_->trainable_params_typed());
+  return f32_ ? nn::flatten_param_values(f32_->trainable_params())
+              : nn::flatten_param_values(f64_->trainable_params());
 }
 
 void GroupedQNetwork::save_params(std::ostream& out) const {
   if (f32_) {
-    nn::save_params(out, f32_->trainable_params_typed());
+    nn::save_params(out, f32_->trainable_params());
   } else {
-    nn::save_params(out, f64_->trainable_params_typed());
+    nn::save_params(out, f64_->trainable_params());
   }
 }
 
 void GroupedQNetwork::load_params(std::istream& in) {
   if (f32_) {
-    nn::load_params(in, f32_->trainable_params_typed());
+    nn::load_params(in, f32_->trainable_params());
     f32_->sync_target();
   } else {
-    nn::load_params(in, f64_->trainable_params_typed());
+    nn::load_params(in, f64_->trainable_params());
     f64_->sync_target();
   }
 }

@@ -30,7 +30,6 @@
 #include "src/common/rng.hpp"
 #include "src/core/state.hpp"
 #include "src/nn/matrix.hpp"
-#include "src/nn/param.hpp"
 #include "src/nn/precision.hpp"
 #include "src/rl/replay.hpp"
 
@@ -46,7 +45,9 @@ struct GroupedQOptions {
   std::size_t autoencoder_batch = 32;
   std::size_t autoencoder_train_interval = 64;  // one AE batch per N observed states
   std::size_t autoencoder_buffer = 4096;
-  /// Double Q-learning for the bootstrap target (see rl::DqnAgent::Options).
+  /// Double Q-learning (van Hasselt) for the bootstrap target: the online
+  /// network picks the next action and the target network evaluates it,
+  /// which reduces the max-operator overestimation bias of vanilla DQN.
   bool double_q = false;
   /// Scalar type of the Sub-Q/autoencoder stacks (see nn/precision.hpp).
   nn::Precision precision = nn::default_precision();
@@ -96,11 +97,8 @@ class GroupedQNetwork {
 
   std::size_t subq_param_count() const;
   std::size_t autoencoder_param_count() const;
-  /// All learned parameters (online Sub-Q + autoencoder) as double-typed
-  /// blocks. Only valid for f64 networks; throws std::logic_error at f32 —
-  /// use param_values() or save/load for precision-agnostic access.
-  std::vector<nn::ParamBlockPtr> trainable_params() const;
-  /// Flattened copy of every learned parameter as double, at any precision.
+  /// Flattened copy of every learned parameter (online Sub-Q + autoencoder)
+  /// as double, at any precision.
   std::vector<double> param_values() const;
   /// Persist / restore online Sub-Q + autoencoder (nn/serialize.hpp text
   /// format, precision-agnostic). Loading also syncs the target network.

@@ -1,5 +1,7 @@
 #include "src/nn/serialize.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <istream>
 #include <limits>
@@ -45,12 +47,22 @@ void load_params(std::istream& in, const std::vector<ParamBlockPtrT<S>>& params)
     throw std::invalid_argument("load_params: size mismatch (file " + std::to_string(total) +
                                 ", model " + std::to_string(expected) + ")");
   }
-  for (auto& s : segs) {
-    for (std::size_t i = 0; i < s.n; ++i) {
-      double v = 0.0;
-      if (!(in >> v)) throw std::invalid_argument("load_params: truncated file");
-      s.value[i] = static_cast<S>(v);
+  // Parse everything before touching the model, so a truncated or corrupt
+  // stream throws with the parameters unchanged.
+  std::vector<S> staged(expected);
+  for (std::size_t i = 0; i < expected; ++i) {
+    double v = 0.0;
+    if (!(in >> v)) throw std::invalid_argument("load_params: truncated file");
+    staged[i] = static_cast<S>(v);
+    if (!std::isfinite(staged[i])) {
+      throw std::invalid_argument("load_params: value " + std::to_string(i) +
+                                  " is not finite at this precision");
     }
+  }
+  const S* next = staged.data();
+  for (auto& s : segs) {
+    std::copy(next, next + s.n, s.value);
+    next += s.n;
   }
 }
 

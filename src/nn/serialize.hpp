@@ -23,7 +23,9 @@ void save_params(std::ostream& out, const std::vector<ParamBlockPtrT<S>>& params
 template <class S>
 void save_params_file(const std::string& path, const std::vector<ParamBlockPtrT<S>>& params);
 
-/// Throws std::invalid_argument on header/size mismatch.
+/// Throws std::invalid_argument on a header/size mismatch, a truncated or
+/// unparsable stream, or a value that is not finite at precision S; the
+/// parameters are written only after the whole stream has parsed.
 template <class S>
 void load_params(std::istream& in, const std::vector<ParamBlockPtrT<S>>& params);
 template <class S>

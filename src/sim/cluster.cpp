@@ -214,18 +214,4 @@ double Cluster::mean_cpu_utilization() const {
 
 std::size_t Cluster::servers_on() const { return metrics_.servers_on(); }
 
-double Cluster::mean_cpu_utilization_scan() const {
-  double total = 0.0;
-  for (const Server& s : servers_) total += s.utilization(0);
-  return total / static_cast<double>(servers_.size());
-}
-
-std::size_t Cluster::servers_on_scan() const {
-  std::size_t n = 0;
-  for (const Server& s : servers_) {
-    if (s.is_on()) ++n;
-  }
-  return n;
-}
-
 }  // namespace hcrl::sim

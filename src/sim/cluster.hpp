@@ -102,10 +102,6 @@ class Cluster {
   std::size_t servers_on() const;
   /// Number of servers currently crash-failed (0 when faults are off); O(1).
   std::size_t servers_failed() const { return metrics_.servers_failed(); }
-  /// Brute-force O(M) rescans of the same quantities. Tests pin the
-  /// incremental counters against these; production code should not call them.
-  double mean_cpu_utilization_scan() const;
-  std::size_t servers_on_scan() const;
 
   const ClusterConfig& config() const noexcept { return cfg_; }
 

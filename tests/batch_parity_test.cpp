@@ -1,14 +1,14 @@
 // Property tests pinning the batched GEMM execution path to the per-sample
 // path: Network::forward_batch on N stacked inputs must match N per-sample
-// forward() calls (and likewise for backward gradients, LSTM steps/BPTT, the
-// autoencoder training step, the grouped Q-network sweep, and the batched
-// DQN train step) to 1e-12, across random shapes, activations and seeds.
+// forward() calls (and likewise for backward gradients, LSTM steps/BPTT and
+// the autoencoder training step) to 1e-12, across random shapes,
+// activations and seeds.
 //
 // Also the precision gates of the f32 compute mode: the float instantiation
 // of the substrate must track the double one to 1e-4 relative (forward,
-// backward gradients, LSTM) and a DQN agent trained at f32 must pick the
-// same greedy actions as its f64 twin; and the threaded GEMM path must be
-// BIT-identical to serial at any thread count.
+// backward gradients, LSTM) and a grouped Q-network trained at f32 must
+// pick the same greedy actions as its f64 twin; and the threaded GEMM path
+// must be BIT-identical to serial at any thread count.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,7 +22,7 @@
 #include "src/nn/lstm.hpp"
 #include "src/nn/network.hpp"
 #include "src/nn/precision.hpp"
-#include "src/rl/dqn.hpp"
+#include "src/core/qnetwork.hpp"
 
 namespace hcrl::nn {
 namespace {
@@ -517,11 +517,11 @@ TEST(GemmThreads, KnobClampsAndReads) {
 }  // namespace
 }  // namespace hcrl::nn
 
-namespace hcrl::rl {
+namespace hcrl::core {
 namespace {
 
-Transition random_transition(std::size_t state_dim, std::size_t n_actions, common::Rng& rng) {
-  Transition t;
+rl::Transition random_transition(std::size_t state_dim, std::size_t n_actions, common::Rng& rng) {
+  rl::Transition t;
   t.state.resize(state_dim);
   t.next_state.resize(state_dim);
   for (auto& v : t.state) v = rng.uniform(-1.0, 1.0);
@@ -532,88 +532,39 @@ Transition random_transition(std::size_t state_dim, std::size_t n_actions, commo
   return t;
 }
 
-// Same seed + same replay contents => identical parameters after K train
-// steps, whether the minibatch is processed by the batched GEMM path or the
-// per-sample seed loop — at either precision (the accumulation-order
-// argument is Scalar-independent).
-TEST(BatchParity, DqnBatchedTrainStepIsDeterministicallyEquivalent) {
-  for (const nn::Precision precision : {nn::Precision::kF64, nn::Precision::kF32}) {
-    for (const bool double_q : {false, true}) {
-      DqnAgent::Options base;
-      base.hidden_dims = {24, 16};
-      base.batch_size = 32;
-      base.min_replay_before_training = 64;
-      base.train_interval = 1000000;  // never train inside observe()
-      base.target_sync_interval = 1000000;
-      base.double_q = double_q;
-      base.precision = precision;
-
-      DqnAgent::Options batched = base;
-      batched.batched_train = true;
-      DqnAgent::Options per_sample = base;
-      per_sample.batched_train = false;
-
-      const std::size_t state_dim = 9, n_actions = 5;
-      common::Rng rng_a(4242), rng_b(4242);
-      DqnAgent agent_a(state_dim, n_actions, batched, rng_a);
-      DqnAgent agent_b(state_dim, n_actions, per_sample, rng_b);
-
-      common::Rng data_a(7), data_b(7);
-      for (int i = 0; i < 200; ++i) {
-        agent_a.observe(random_transition(state_dim, n_actions, data_a));
-        agent_b.observe(random_transition(state_dim, n_actions, data_b));
-      }
-
-      for (int k = 0; k < 25; ++k) {
-        const double la = agent_a.train_step();
-        const double lb = agent_b.train_step();
-        EXPECT_NEAR(la, lb, 1e-12) << "precision=" << nn::to_string(precision)
-                                   << " double_q=" << double_q << " step " << k;
-      }
-      // Compare the full online-network parameter vectors element by element
-      // (param_values works at either precision).
-      const std::vector<double> va = agent_a.param_values();
-      const std::vector<double> vb = agent_b.param_values();
-      ASSERT_EQ(va.size(), vb.size());
-      for (std::size_t i = 0; i < va.size(); ++i) {
-        EXPECT_NEAR(va[i], vb[i], 1e-12) << "precision=" << nn::to_string(precision)
-                                         << " double_q=" << double_q << " index " << i;
-      }
-    }
-  }
-}
-
-// f32-vs-f64 gate on the full training loop: two agents fed the identical
-// transition stream and minibatch schedule, differing only in Scalar type,
-// must agree on (almost all) greedy actions after a 25-step training run —
-// the decision-level statement of "Q-learning is noise-tolerant".
+// f32-vs-f64 gate on DQN training: two grouped Q-networks from the same
+// seed, differing only in Scalar type and trained on identical minibatches,
+// must agree on (almost all) greedy actions after 25 gradient steps — the
+// decision-level statement of "Q-learning is noise-tolerant".
 TEST(PrecisionParity, DqnGreedyActionsAgreeAcrossPrecisionsAfterTraining) {
-  DqnAgent::Options base;
-  base.hidden_dims = {32};
-  base.batch_size = 32;
-  base.min_replay_before_training = 64;
-  base.train_interval = 1000000;
-  base.target_sync_interval = 1000000;
+  GroupedQOptions base;
+  base.encoder.num_servers = 6;
+  base.encoder.num_groups = 2;
+  base.encoder.num_resources = 2;
+  base.autoencoder_dims = {8, 4};
+  base.subq_hidden = 32;
 
-  DqnAgent::Options f64 = base;
+  GroupedQOptions f64 = base;
   f64.precision = nn::Precision::kF64;
-  DqnAgent::Options f32 = base;
+  GroupedQOptions f32 = base;
   f32.precision = nn::Precision::kF32;
 
-  const std::size_t state_dim = 12, n_actions = 6;
   common::Rng rng_a(90210), rng_b(90210);
-  DqnAgent agent64(state_dim, n_actions, f64, rng_a);
-  DqnAgent agent32(state_dim, n_actions, f32, rng_b);
+  GroupedQNetwork net64(f64, rng_a);
+  GroupedQNetwork net32(f32, rng_b);
+  const std::size_t state_dim = net64.state_dim(), n_actions = net64.num_actions();
 
-  common::Rng data_a(31), data_b(31);
-  for (int i = 0; i < 256; ++i) {
-    agent64.observe(random_transition(state_dim, n_actions, data_a));
-    agent32.observe(random_transition(state_dim, n_actions, data_b));
-  }
+  common::Rng data(31);
+  std::vector<rl::Transition> replay;
+  for (int i = 0; i < 256; ++i) replay.push_back(random_transition(state_dim, n_actions, data));
+  common::Rng pick(5);
   for (int k = 0; k < 25; ++k) {
-    const double l64 = agent64.train_step();
-    const double l32 = agent32.train_step();
-    // Same minibatch schedule (same fork seed), so the losses track closely.
+    std::vector<const rl::Transition*> batch;
+    for (int b = 0; b < 32; ++b) {
+      batch.push_back(&replay[static_cast<std::size_t>(pick.uniform_int(0, 255))]);
+    }
+    const double l64 = net64.train_batch(batch, 0.5);
+    const double l32 = net32.train_batch(batch, 0.5);
     EXPECT_LE(std::abs(l64 - l32), 1e-3 * std::max(1.0, std::abs(l64))) << "step " << k;
   }
 
@@ -623,7 +574,7 @@ TEST(PrecisionParity, DqnGreedyActionsAgreeAcrossPrecisionsAfterTraining) {
   for (int i = 0; i < probes; ++i) {
     nn::Vec s(state_dim);
     for (auto& v : s) v = probe.uniform(-1.0, 1.0);
-    agree += agent64.act_greedy(s) == agent32.act_greedy(s) ? 1 : 0;
+    agree += nn::argmax(net64.q_values(s)) == nn::argmax(net32.q_values(s)) ? 1 : 0;
   }
   // Ties between near-equal Q-values may flip under f32 rounding; anything
   // beyond a stray handful of states means the precisions diverged.
@@ -631,4 +582,4 @@ TEST(PrecisionParity, DqnGreedyActionsAgreeAcrossPrecisionsAfterTraining) {
 }
 
 }  // namespace
-}  // namespace hcrl::rl
+}  // namespace hcrl::core

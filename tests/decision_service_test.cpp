@@ -2,9 +2,9 @@
 // predictor/Q requests fuse into batched sweeps whose results — and every
 // downstream action, metric and learned parameter — are bit-identical to the
 // per-call path. Covers the DecisionService unit behaviour (empty / single /
-// mixed epochs), the q_values_batch / act_batch fusion kernels at both
-// precisions, the WindowPredictor, and full-experiment parity between
-// batch_decisions on and off.
+// mixed epochs), the q_values_batch fusion kernel at both precisions, the
+// WindowPredictor, and full-experiment parity between batch_decisions on and
+// off.
 #include "src/core/decision_service.hpp"
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include "src/core/runner.hpp"
 #include "src/core/scenario.hpp"
 #include "src/core/trace_source.hpp"
-#include "src/rl/dqn.hpp"
 #include "src/sim/cluster.hpp"
 
 namespace hcrl::core {
@@ -261,40 +260,6 @@ TEST(LstmPredictor, PredictNBitIdenticalToPredict) {
   ASSERT_EQ(many.size(), 4u);
   for (const double v : many) EXPECT_EQ(v, one);
   EXPECT_TRUE(p.predict_n(0).empty());
-}
-
-TEST(DqnAgent, BatchedActAndQValuesMatchPerCall) {
-  for (const nn::Precision precision : {nn::Precision::kF64, nn::Precision::kF32}) {
-    rl::DqnAgent::Options opts;
-    opts.hidden_dims = {12};
-    opts.precision = precision;
-    opts.epsilon = rl::EpsilonSchedule::exponential(0.5, 0.05, 50);
-
-    // Two agents from identically-seeded rngs -> identical weights; drive one
-    // per-call and one batched with identically-seeded action rngs.
-    common::Rng ra(7), rb(7);
-    rl::DqnAgent per_call(4, 3, opts, ra);
-    rl::DqnAgent batched(4, 3, opts, rb);
-
-    common::Rng srng(8);
-    std::vector<nn::Vec> states;
-    for (int i = 0; i < 32; ++i) states.push_back(random_state(4, srng));
-    std::vector<const nn::Vec*> ptrs;
-    for (const auto& s : states) ptrs.push_back(&s);
-
-    nn::Matrix qb;
-    batched.q_values_batch(ptrs, qb);
-    for (std::size_t b = 0; b < states.size(); ++b) {
-      const nn::Vec q = per_call.q_values(states[b]);
-      for (std::size_t a = 0; a < q.size(); ++a) EXPECT_EQ(qb(b, a), q[a]);
-    }
-
-    common::Rng act_a(9), act_b(9);
-    std::vector<std::size_t> expected;
-    for (const auto& s : states) expected.push_back(per_call.act(s, act_a));
-    const std::vector<std::size_t> got = batched.act_batch(ptrs, act_b);
-    EXPECT_EQ(got, expected) << "precision=" << nn::to_string(precision);
-  }
 }
 
 // ---- in-sim parity: batched decision epochs vs inline decisions ------------

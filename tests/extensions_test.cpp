@@ -3,38 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "src/core/qnetwork.hpp"
-#include "src/rl/dqn.hpp"
 #include "src/sim/cluster.hpp"
 #include "src/workload/generator.hpp"
 
 namespace hcrl {
 namespace {
-
-TEST(DoubleDqn, StillSolvesContextualBandit) {
-  rl::DqnAgent::Options o;
-  o.hidden_dims = {16};
-  o.double_q = true;
-  o.learning_rate = 5e-3;
-  o.min_replay_before_training = 64;
-  o.train_interval = 1;
-  o.epsilon = rl::EpsilonSchedule::constant(0.2);
-  common::Rng rng(1);
-  rl::DqnAgent agent(1, 2, o, rng);
-  common::Rng env(2);
-  for (int i = 0; i < 1500; ++i) {
-    const double x = env.bernoulli(0.5) ? 1.0 : 0.0;
-    const std::size_t a = agent.act({x}, env);
-    rl::Transition t;
-    t.state = {x};
-    t.action = a;
-    t.reward_rate = (static_cast<double>(a) == x) ? 0.0 : -2.0;
-    t.tau = 1.0;
-    t.next_state = {env.bernoulli(0.5) ? 1.0 : 0.0};
-    agent.observe(std::move(t));
-  }
-  EXPECT_EQ(agent.act_greedy({0.0}), 0u);
-  EXPECT_EQ(agent.act_greedy({1.0}), 1u);
-}
 
 TEST(DoubleDqn, GroupedNetworkTrainsWithDoubleTargets) {
   core::GroupedQOptions o;

@@ -1,15 +1,20 @@
 // Randomized property tests: invariants must survive adversarial policies,
 // random timeouts, random traces — and adversarial config text, which must
 // always fail with a defined std::invalid_argument-family error instead of
-// UB or silent acceptance.
+// UB or silent acceptance, and mutated parameter checkpoints, whose failed
+// loads must leave the model untouched.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "src/common/config.hpp"
 #include "src/common/rng.hpp"
 #include "src/core/config_binding.hpp"
+#include "src/core/qnetwork.hpp"
 #include "src/sim/cluster.hpp"
 #include "src/workload/generator.hpp"
 
@@ -223,6 +228,98 @@ TEST_P(ConfigSoupFuzz, RandomKeyValueSoupParsesOrThrowsCleanly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConfigSoupFuzz, testing::Values(11u, 23u, 47u));
+
+// ---- parameter checkpoints ---------------------------------------------------
+
+core::GroupedQOptions checkpoint_net_opts(nn::Precision precision) {
+  core::GroupedQOptions o;
+  o.encoder.num_servers = 6;
+  o.encoder.num_groups = 2;
+  o.autoencoder_dims = {8, 4};
+  o.subq_hidden = 16;
+  o.precision = precision;
+  return o;
+}
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  return lines;
+}
+
+/// One seeded mutation of a checkpoint's text: byte-level (overwrite,
+/// insert, erase) or line-level (drop, duplicate, swap, replace with a
+/// hostile token).
+std::string mutate_checkpoint(const std::string& text, common::Rng& rng) {
+  static const char* kTokens[] = {"",     "nan",  "inf",  "-inf", "1e999", "-1e999", "1e-400",
+                                  "0x1p3", "+",   "-",    "1e",   "e5",    "hcrl-params-v2",
+                                  "99999999999999999999999", "-1", "3.5.5", "1 2"};
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  std::string out = text;
+  if (rng.bernoulli(0.5)) {
+    const int edits = static_cast<int>(rng.uniform_int(1, 4));
+    for (int e = 0; e < edits && !out.empty(); ++e) {
+      const std::size_t at = pick(out.size());
+      const char byte = static_cast<char>(rng.uniform_int(0, 255));
+      switch (rng.uniform_int(0, 2)) {
+        case 0: out[at] = byte; break;
+        case 1: out.insert(out.begin() + static_cast<std::ptrdiff_t>(at), byte); break;
+        default: out.erase(at, 1); break;
+      }
+    }
+    return out;
+  }
+  std::vector<std::string> lines = split_lines(text);
+  const std::size_t i = pick(lines.size()), j = pick(lines.size());
+  switch (rng.uniform_int(0, 3)) {
+    case 0: lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(i)); break;
+    case 1: lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(i), lines[j]); break;
+    case 2: std::swap(lines[i], lines[j]); break;
+    default: lines[i] = kTokens[pick(std::size(kTokens))]; break;
+  }
+  out.clear();
+  for (const auto& line : lines) out += line + "\n";
+  return out;
+}
+
+class CheckpointFuzz : public testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CheckpointFuzz, MutatedCheckpointLoadsOrThrowsLeavingTheModelUnchanged) {
+  // A mutated checkpoint either loads (into finite parameters) or throws a
+  // std::exception with every parameter as it was, at either precision.
+  common::Rng init(1);
+  std::ostringstream saved;
+  core::GroupedQNetwork(checkpoint_net_opts(nn::Precision::kF64), init).save_params(saved);
+  common::Rng rng(GetParam());
+  int loaded = 0, rejected = 0;
+  for (int round = 0; round < 150; ++round) {
+    const std::string text = mutate_checkpoint(saved.str(), rng);
+    for (const nn::Precision precision : {nn::Precision::kF64, nn::Precision::kF32}) {
+      common::Rng net_rng(2);
+      core::GroupedQNetwork net(checkpoint_net_opts(precision), net_rng);
+      const std::vector<double> before = net.param_values();
+      std::istringstream in(text);
+      try {
+        net.load_params(in);
+        ++loaded;
+        for (const double v : net.param_values()) ASSERT_TRUE(std::isfinite(v)) << text;
+      } catch (const std::exception&) {
+        ++rejected;
+        ASSERT_TRUE(net.param_values() == before)
+            << "round " << round << " at " << nn::to_string(precision);
+      }
+    }
+  }
+  // Both outcomes occur, so neither branch is vacuous.
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CheckpointFuzz, testing::Values(5u, 17u, 29u));
 
 }  // namespace
 }  // namespace hcrl

@@ -10,6 +10,7 @@
 #include "src/core/runner.hpp"
 #include "src/core/scenario.hpp"
 #include "src/sim/cluster.hpp"
+#include "src/telemetry/registry.hpp"
 #include "src/workload/generator.hpp"
 
 namespace hcrl::core {
@@ -173,7 +174,19 @@ TEST(DrlAllocator, DivergingDqnFailsItsCellLoudly) {
   Scenario diverging = healthy;
   diverging.name += "/diverging";
   diverging.config.drl.qnet.learning_rate = 1e300;
+  // With telemetry on, the guard that trips also counts on global.nonfinite.
+  const auto nonfinite = [] {
+    const telemetry::RegistrySnapshot snap = telemetry::global_registry().snapshot();
+    const telemetry::MetricValue* v = snap.find("global.nonfinite");
+    return v ? v->count : 0;
+  };
+  const bool was_enabled = telemetry::enabled();
+  telemetry::set_enabled(true);
+  const std::uint64_t before = nonfinite();
   const std::vector<ScenarioOutcome> out = SerialRunner().run_outcomes({diverging, healthy});
+  const std::uint64_t after = nonfinite();
+  telemetry::set_enabled(was_enabled);
+  EXPECT_GE(after - before, 1u);
   ASSERT_EQ(out.size(), 2u);
   ASSERT_FALSE(out[0].ok());
   try {

@@ -4,6 +4,10 @@
 // online serving).
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <string>
+#include <vector>
+
 #include "src/core/global_tier.hpp"
 #include "src/sim/cluster.hpp"
 #include "src/workload/generator.hpp"
@@ -127,6 +131,36 @@ TEST(DrlPersistence, LoadIntoMismatchedArchitectureFails) {
   other.qnet.subq_hidden = 24;
   DrlAllocator b(other);
   EXPECT_THROW(b.load_model(path), std::invalid_argument);
+}
+
+// A checkpoint that stops halfway must throw before any parameter is
+// written: a failed load leaves the model exactly as it was, at either
+// precision.
+TEST(DrlPersistence, TruncatedCheckpointLeavesTheModelUnchanged) {
+  const std::string path = testing::TempDir() + "/hcrl_drl_model_full.txt";
+  const std::string cut = testing::TempDir() + "/hcrl_drl_model_cut.txt";
+  DrlAllocator(small_opts()).save_model(path);
+  {
+    std::ifstream in(path);
+    std::ofstream out(cut);
+    std::string line;
+    std::vector<std::string> lines;
+    while (std::getline(in, line)) lines.push_back(line);
+    for (std::size_t i = 0; i < lines.size() / 2; ++i) out << lines[i] << "\n";
+  }
+  for (const nn::Precision precision : {nn::Precision::kF64, nn::Precision::kF32}) {
+    DrlAllocatorOptions o = small_opts();
+    o.seed = 99;
+    o.qnet.precision = precision;
+    DrlAllocator alloc(o);
+    const std::vector<double> before = alloc.network().param_values();
+    EXPECT_THROW(alloc.load_model(cut), std::invalid_argument) << nn::to_string(precision);
+    const std::vector<double> after = alloc.network().param_values();
+    ASSERT_EQ(after.size(), before.size());
+    std::size_t changed = 0;
+    for (std::size_t i = 0; i < after.size(); ++i) changed += after[i] != before[i] ? 1 : 0;
+    EXPECT_EQ(changed, 0u) << "of " << after.size() << " at " << nn::to_string(precision);
+  }
 }
 
 }  // namespace

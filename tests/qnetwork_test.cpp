@@ -267,5 +267,21 @@ TEST(GroupedQNetwork, WeightSharingMeansOneSubQParamSet) {
   EXPECT_EQ(net.subq_param_count(), expected);
 }
 
+// With one group the single Sub-Q head reads [whole-cluster state, job
+// state] and outputs all M Q-values: the monolithic feed-forward Q-network
+// that §V-A argues against, which the DNN ablation bench builds this way.
+TEST(GroupedQNetwork, OneGroupIsTheMonolithicQNetwork) {
+  common::Rng rng(16);
+  GroupedQOptions o;  // paper shape: M = 30, 128 hidden ELUs
+  o.encoder.num_groups = 1;
+  GroupedQNetwork net(o, rng);
+  const std::size_t m = o.encoder.num_servers, s = net.state_dim();
+  EXPECT_EQ(net.head_input_dim(), s);
+  common::Rng srng(17);
+  EXPECT_EQ(net.q_values(random_state(o, srng)).size(), m);
+  EXPECT_EQ(net.subq_param_count(), s * 128 + 128 + 128 * m + m);
+  EXPECT_EQ(net.subq_param_count(), 23710u);  // |s| = 30 * 5 + 4 = 154
+}
+
 }  // namespace
 }  // namespace hcrl::core

@@ -2,10 +2,14 @@
 // power at 95,000 jobs for M = 30 and M = 40, under round-robin, DRL-only
 // and the hierarchical framework.
 //
-// All six cells ("table1/m30/*" + "table1/m40/*" from the builtin registry)
-// run as one ParallelRunner batch; each cluster size shares one cached
-// trace. Results come back order-stable, so rows print in registry order.
+// Every "table1/" cell of the builtin registry (the six paper cells plus the
+// fault-injected m30 twin) runs as one ParallelRunner batch; each cluster
+// size shares one cached trace. Each M's table is picked by scenario name
+// from its three paper systems; any other cell prints on its own line.
 #include <cstdio>
+#include <exception>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.hpp"
@@ -31,6 +35,35 @@ constexpr PaperRow kPaperM40[] = {
     {"hierarchical", 224.51, 94.26, 1336.37},
 };
 
+struct PaperTable {
+  std::size_t machines;
+  const char* prefix;  // registry name prefix of this M's cells
+  const PaperRow* rows;
+};
+constexpr PaperTable kTables[] = {{30, "table1/m30/", kPaperM30}, {40, "table1/m40/", kPaperM40}};
+
+// The three paper-system results of one table, in paper-row order, picked
+// from the sweep by scenario name ("table1/m30/drl-only", ...) and marked in
+// `reported`. Throws unless each system matches exactly one cell.
+std::vector<hcrl::core::ExperimentResult> paper_block(
+    const PaperTable& table, const std::vector<hcrl::core::Scenario>& scenarios,
+    const std::vector<hcrl::core::ExperimentResult>& results, std::vector<bool>& reported) {
+  std::vector<hcrl::core::ExperimentResult> block;
+  for (int i = 0; i < 3; ++i) {
+    const std::string name = std::string(table.prefix) + table.rows[i].system;
+    for (std::size_t j = 0; j < scenarios.size(); ++j) {
+      if (scenarios[j].name != name) continue;
+      block.push_back(results[j]);
+      reported[j] = true;
+    }
+    if (block.size() != static_cast<std::size_t>(i) + 1) {
+      throw std::runtime_error("bench_table1: want exactly one '" + name + "' cell, got " +
+                               std::to_string(block.size() - static_cast<std::size_t>(i)));
+    }
+  }
+  return block;
+}
+
 void report_for_machines(std::size_t machines, std::size_t jobs, const PaperRow* paper,
                          const std::vector<hcrl::core::ExperimentResult>& results) {
   std::printf("\n=== Table I, M = %zu, %zu jobs ===\n", machines, jobs);
@@ -52,10 +85,12 @@ void report_for_machines(std::size_t machines, std::size_t jobs, const PaperRow*
               100.0 * (1.0 - paper[1].energy_kwh / paper[0].energy_kwh),
               100.0 * (1.0 - paper[2].energy_kwh / paper[0].energy_kwh));
   std::printf("hierarchical vs drl-only: energy %.1f%% lower, latency %.1f%% lower "
-              "(paper: 16.1%%, 16.7%%)\n",
+              "(paper: %.1f%%, %.1f%%)\n",
               100.0 * (1.0 - hier / drl),
               100.0 * (1.0 - results[2].final_snapshot.accumulated_latency_s /
-                                 results[1].final_snapshot.accumulated_latency_s));
+                                 results[1].final_snapshot.accumulated_latency_s),
+              100.0 * (1.0 - paper[2].energy_kwh / paper[1].energy_kwh),
+              100.0 * (1.0 - paper[2].latency_1e6s / paper[1].latency_1e6s));
 }
 
 }  // namespace
@@ -90,14 +125,28 @@ void report_real_trace_cells() {
 
 int main() {
   const std::size_t jobs = hcrl::bench::env_jobs(95000);
+  try {
+    const auto scenarios = hcrl::core::ScenarioRegistry::builtin().make_group("table1/", jobs);
+    const auto results = hcrl::bench::run_parallel_sweep(scenarios);
 
-  // One batch: m30's three systems first (registry order), then m40's.
-  const auto scenarios = hcrl::core::ScenarioRegistry::builtin().make_group("table1/", jobs);
-  const auto results = hcrl::bench::run_parallel_sweep(scenarios);
+    std::vector<bool> reported(scenarios.size(), false);
+    for (const PaperTable& table : kTables) {
+      report_for_machines(table.machines, jobs, table.rows,
+                          paper_block(table, scenarios, results, reported));
+    }
+    // Cells outside the paper's table (the fault-injected twin), one line each.
+    std::printf("\n=== other table1 cells, %zu jobs ===\n%-32s ", jobs, "scenario");
+    hcrl::bench::print_result_header();
+    for (std::size_t i = 0; i < scenarios.size(); ++i) {
+      if (reported[i]) continue;
+      std::printf("%-32s ", scenarios[i].name.c_str());
+      hcrl::bench::print_result_row(results[i]);
+    }
 
-  report_for_machines(30, jobs, kPaperM30, {results.begin(), results.begin() + 3});
-  report_for_machines(40, jobs, kPaperM40, {results.begin() + 3, results.end()});
-
-  report_real_trace_cells();
+    report_real_trace_cells();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_table1: %s\n", e.what());
+    return 1;
+  }
   return 0;
 }

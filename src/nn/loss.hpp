@@ -21,17 +21,6 @@ using LossResult = LossResultT<double>;
 template <class S>
 LossResultT<S> mse_loss(const VecT<S>& pred, const VecT<S>& target);
 
-/// Huber loss with threshold delta (mean over components). Robust choice for
-/// Q-value regression (used by the DQN trainer).
-template <class S>
-LossResultT<S> huber_loss(const VecT<S>& pred, const VecT<S>& target, S delta = S(1));
-
-/// Huber loss on a single output component (gradient magnitude capped at
-/// delta) — the robust choice for Q-regression with bootstrapped targets.
-template <class S>
-LossResultT<S> masked_huber_loss(const VecT<S>& pred, std::size_t index, S target,
-                                 S delta = S(1));
-
 // --- batched variants -----------------------------------------------------
 //
 // `pred` carries one sample per row; the gradient matrix feeds straight into
@@ -54,7 +43,12 @@ template <class S>
 BatchLossResultT<S> mse_loss_batch(const MatrixT<S>& pred, const MatrixT<S>& target,
                                    S grad_scale = S(1));
 
-/// Huber per row on component index[b] (gradient capped at delta).
+/// Huber per row on component index[b] (gradient magnitude capped at
+/// delta; every other column's gradient is zero) — the loss of the DQN
+/// gradient step, which regresses the taken action's Q-value onto its
+/// bootstrapped target. Throws std::invalid_argument on a missing or
+/// out-of-range index, a target count that differs from the row count, or
+/// delta <= 0.
 template <class S>
 BatchLossResultT<S> masked_huber_loss_batch(const MatrixT<S>& pred,
                                             const std::vector<std::size_t>& index,

@@ -10,6 +10,7 @@
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 
 #include "src/telemetry/registry.hpp"
@@ -183,22 +184,23 @@ template class MatrixT<double>;
 
 namespace {
 
-// The hot full tile uses GNU vector extensions (16-byte lanes) on gcc/clang:
-// explicit lane-wise multiply-adds keep the accumulator tile in vector
-// registers and sidestep the autovectorizer's shuffle-heavy k-direction
-// gather (measured ~2.4x on the f32 kernel). Elsewhere (and on every edge
-// tile) the plain scalar loops run — identical arithmetic, identical
-// rounding, since lane ops are IEEE scalar ops.
-#if defined(__GNUC__) || defined(__clang__)
-#define HCRL_GEMM_VECTOR_EXT 1
+// The micro-kernel runs on GNU vector extensions (gcc/clang): explicit
+// lane-wise multiply-adds keep the accumulator tile in vector registers and
+// sidestep the autovectorizer's shuffle-heavy k-direction gather. On x86 a
+// 32-byte clone is compiled beside the 16-byte baseline and picked at run
+// time; other targets run the baseline alone.
+#if defined(__x86_64__) || defined(__i386__)
+#define HCRL_GEMM_HAVE_AVX2 1
 #else
-#define HCRL_GEMM_VECTOR_EXT 0
+#define HCRL_GEMM_HAVE_AVX2 0
 #endif
 
-// Register-tile shape of the shared micro-kernel: 4 rows x four 16-byte
-// vectors of accumulator per row. A float lane is half as wide as a double
-// lane, so the f32 tile doubles its N extent (4x16 vs 4x8) while filling
-// the same vector registers — the "wider micro-tile" of the f32 mode.
+// Register-tile shape of the shared micro-kernel: 4 rows x 64 bytes of
+// accumulator per row (four 16-byte or two 32-byte vectors). A float lane is
+// half as wide as a double lane, so the f32 tile doubles its N extent (4x16
+// vs 4x8) while filling the same vector registers — the "wider micro-tile"
+// of the f32 mode. The shape is the same at every vector width, so the
+// choice of kernel ISA cannot change which products an element sums.
 template <class S>
 struct Tile {
   static constexpr std::size_t kM = 4;
@@ -224,6 +226,17 @@ struct Panel<float> {
   static constexpr std::size_t kK = 256;
   static constexpr std::size_t kN = 512;
 };
+static_assert(Panel<double>::kN % Tile<double>::kN == 0 &&
+                  Panel<float>::kN % Tile<float>::kN == 0,
+              "panel columns start on a micro-tile boundary");
+
+// Row stride of every B operand the micro-kernel reads: n rounded up to a
+// whole micro-tile, so an edge tile narrower than Tile<S>::kN still loads
+// whole vectors (the pad columns are zero and their lanes are never stored).
+template <class S>
+std::size_t padded_cols(std::size_t n) {
+  return (n + Tile<S>::kN - 1) / Tile<S>::kN * Tile<S>::kN;
+}
 
 template <class S>
 void prepare_output(MatrixT<S>& C, std::size_t rows, std::size_t cols, bool accumulate,
@@ -240,20 +253,21 @@ void prepare_output(MatrixT<S>& C, std::size_t rows, std::size_t cols, bool accu
   }
 }
 
-// Reusable packing buffer for the transposed operand of gemm_tn/gemm_nt.
-// thread_local so concurrent experiment sweeps don't share it; reusing the
-// allocation matters because a fresh buffer per call means an mmap + page
-// faults + a redundant zero-fill on every GEMM. One buffer per Scalar type.
-template <class S>
+// Reusable packing buffers: slot 0 holds gemm_tn's A^T, slot 1 the padded B
+// operand. thread_local so concurrent experiment sweeps don't share them;
+// reusing the allocation matters because a fresh buffer per call means an
+// mmap + page faults + a redundant zero-fill on every GEMM.
+template <class S, int kSlot>
 std::vector<S>& pack_scratch() {
   thread_local std::vector<S> scratch;
   return scratch;
 }
 
-// dst (rows x cols) = src (cols x rows) transposed, in 8x8 blocks so reads
-// and writes both stay within a handful of cache lines per block.
+// dst (rows x cols, row stride ld >= cols) = src (cols x rows) transposed,
+// in 8x8 blocks so reads and writes both stay within a handful of cache
+// lines per block; columns cols..ld of dst are zeroed.
 template <class S>
-void pack_transpose(const S* src, S* dst, std::size_t rows, std::size_t cols) {
+void pack_transpose(const S* src, S* dst, std::size_t rows, std::size_t cols, std::size_t ld) {
   constexpr std::size_t kB = 8;
   for (std::size_t r0 = 0; r0 < rows; r0 += kB) {
     const std::size_t r1 = std::min(r0 + kB, rows);
@@ -261,144 +275,204 @@ void pack_transpose(const S* src, S* dst, std::size_t rows, std::size_t cols) {
       const std::size_t c1 = std::min(c0 + kB, cols);
       for (std::size_t c = c0; c < c1; ++c) {
         const S* srow = src + c * rows;
-        for (std::size_t r = r0; r < r1; ++r) dst[r * cols + c] = srow[r];
+        for (std::size_t r = r0; r < r1; ++r) dst[r * ld + c] = srow[r];
+      }
+    }
+  }
+  if (ld == cols) return;
+  for (std::size_t r = 0; r < rows; ++r) std::fill(dst + r * ld + cols, dst + (r + 1) * ld, S(0));
+}
+
+// Returns b (kk x n, row-major) itself when n fills whole micro-tiles, else a
+// copy in slot-1 scratch with row stride padded_cols(n) and zeroed pad.
+template <class S>
+const S* padded_b(const S* b, std::size_t kk, std::size_t n) {
+  const std::size_t ld = padded_cols<S>(n);
+  if (ld == n) return b;
+  auto& scratch = pack_scratch<S, 1>();
+  scratch.resize(kk * ld);
+  S* dst = scratch.data();
+  for (std::size_t k = 0; k < kk; ++k) {
+    std::copy(b + k * n, b + (k + 1) * n, dst + k * ld);
+    std::fill(dst + k * ld + n, dst + (k + 1) * ld, S(0));
+  }
+  return dst;
+}
+
+// One kRows x Tile<S>::kN block of c (or its first nr columns) = or += a
+// (kRows x kk) * b (kk x Tile<S>::kN), on kBytes-wide GNU vectors. The
+// accumulator block stays in registers across the whole k loop; each lane
+// runs its element's products in increasing k order with one mul + one add
+// per k (0 + p0 + p1 + ...), and lands on c with a single store or add.
+// Lane ops are IEEE scalar ops, so every vector width, tile height and
+// column count gives the same bits. b must be readable for Tile<S>::kN
+// columns per row even when nr is smaller (padded_cols).
+template <std::size_t kBytes, std::size_t kRows, bool kOverwrite, class S>
+[[gnu::always_inline]] inline void vector_tile(const S* a, std::size_t lda, const S* b,
+                                               std::size_t ldb, S* c, std::size_t ldc,
+                                               std::size_t kk, std::size_t nr) {
+  typedef S V __attribute__((vector_size(kBytes)));
+  constexpr std::size_t kLanes = kBytes / sizeof(S);
+  constexpr std::size_t kTileN = Tile<S>::kN;
+  constexpr std::size_t kNV = kTileN / kLanes;
+  V acc[kRows][kNV];
+  for (auto& row : acc) {
+    for (V& v : row) v = V{};
+  }
+  for (std::size_t k = 0; k < kk; ++k) {
+    const S* brow = b + k * ldb;
+    V bv[kNV];
+    for (std::size_t v = 0; v < kNV; ++v) __builtin_memcpy(&bv[v], brow + v * kLanes, sizeof(V));
+    for (std::size_t ii = 0; ii < kRows; ++ii) {
+      const S aik = a[ii * lda + k];  // broadcast to every lane
+      for (std::size_t v = 0; v < kNV; ++v) acc[ii][v] += aik * bv[v];
+    }
+  }
+  for (std::size_t ii = 0; ii < kRows; ++ii) {
+    S* crow = c + ii * ldc;
+    if (nr == kTileN) {
+      for (std::size_t v = 0; v < kNV; ++v) {
+        V out = acc[ii][v];
+        if constexpr (!kOverwrite) {
+          V cv;
+          __builtin_memcpy(&cv, crow + v * kLanes, sizeof(V));
+          out = cv + out;
+        }
+        __builtin_memcpy(crow + v * kLanes, &out, sizeof(V));
+      }
+    } else {
+      S lanes[kTileN];
+      for (std::size_t v = 0; v < kNV; ++v) {
+        const V out = acc[ii][v];
+        __builtin_memcpy(lanes + v * kLanes, &out, sizeof(V));
+      }
+      for (std::size_t jj = 0; jj < nr; ++jj) {
+        if constexpr (kOverwrite) {
+          crow[jj] = lanes[jj];
+        } else {
+          crow[jj] += lanes[jj];
+        }
       }
     }
   }
 }
 
-// Shared blocked micro-kernel: c (m x n) = or += a (m x kk) * bkn (kk x n),
-// all row-major. Main tiles keep a Tile<S>::kM x Tile<S>::kN accumulator
-// block in registers across the whole k loop (the jj loop vectorizes; c sees
-// one store per element instead of one per multiply-accumulate); edge
-// elements fall back to strided dot products. Every output element — tile or
-// edge, any m — accumulates its kk products in increasing k order inside a
-// register and lands on memory with a single store or add, so batch-1
-// wrappers and batched calls produce identical sums.
+// kRows rows of c (m-block x n) = or += a * bkn, one vector tile per
+// Tile<S>::kN columns.
+template <std::size_t kBytes, std::size_t kRows, bool kOverwrite, class S>
+[[gnu::always_inline]] inline void vector_rows(const S* a, std::size_t lda, const S* bkn,
+                                               std::size_t ldb, S* c, std::size_t ldc,
+                                               std::size_t kk, std::size_t n) {
+  constexpr std::size_t kTileN = Tile<S>::kN;
+  for (std::size_t j0 = 0; j0 < n; j0 += kTileN) {
+    vector_tile<kBytes, kRows, kOverwrite>(a, lda, bkn + j0, ldb, c + j0, ldc, kk,
+                                           std::min(kTileN, n - j0));
+  }
+}
+
+// Shared blocked micro-kernel body: c (m x n) = or += a (m x kk) * bkn
+// (kk x n), all row-major, bkn with a row stride ldb >= padded_cols(n).
+// Written once and instantiated per vector width by the entry points below.
+template <std::size_t kBytes, bool kOverwrite, class S>
+[[gnu::always_inline]] inline void tile_mul_add_body(const S* a, std::size_t lda, const S* bkn,
+                                                     std::size_t ldb, S* c, std::size_t ldc,
+                                                     std::size_t m, std::size_t kk,
+                                                     std::size_t n) {
+  constexpr std::size_t kTileM = Tile<S>::kM;
+  static_assert(kTileM == 4, "the edge-row switch covers 1..3 rows");
+  std::size_t i0 = 0;
+  for (; i0 + kTileM <= m; i0 += kTileM) {
+    vector_rows<kBytes, kTileM, kOverwrite>(a + i0 * lda, lda, bkn, ldb, c + i0 * ldc, ldc, kk, n);
+  }
+  const S* ai = a + i0 * lda;
+  S* ci = c + i0 * ldc;
+  switch (m - i0) {
+    case 3: vector_rows<kBytes, 3, kOverwrite>(ai, lda, bkn, ldb, ci, ldc, kk, n); break;
+    case 2: vector_rows<kBytes, 2, kOverwrite>(ai, lda, bkn, ldb, ci, ldc, kk, n); break;
+    case 1: vector_rows<kBytes, 1, kOverwrite>(ai, lda, bkn, ldb, ci, ldc, kk, n); break;
+    default: break;
+  }
+}
+
+// The kernel's two compilations: the 16-byte baseline in tile_mul_add
+// itself, valid on every target the library builds for, and a 32-byte
+// clone compiled for AVX2 alone (no FMA: a fused multiply-add rounds once
+// where the body rounds twice).
+#if HCRL_GEMM_HAVE_AVX2
+template <bool kOverwrite, class S>
+__attribute__((target("avx2"))) void tile_mul_add_32(const S* a, std::size_t lda, const S* bkn,
+                                                     std::size_t ldb, S* c, std::size_t ldc,
+                                                     std::size_t m, std::size_t kk,
+                                                     std::size_t n) {
+  tile_mul_add_body<32, kOverwrite>(a, lda, bkn, ldb, c, ldc, m, kk, n);
+}
+#endif
+
 template <bool kOverwrite, class S>
 void tile_mul_add(const S* a, std::size_t lda, const S* bkn, std::size_t ldb, S* c,
                   std::size_t ldc, std::size_t m, std::size_t kk, std::size_t n) {
-  constexpr std::size_t kTileM = Tile<S>::kM;
-  constexpr std::size_t kTileN = Tile<S>::kN;
-  for (std::size_t i0 = 0; i0 < m; i0 += kTileM) {
-    const std::size_t mr = std::min(kTileM, m - i0);
-    for (std::size_t j0 = 0; j0 < n; j0 += kTileN) {
-      const std::size_t nr = std::min(kTileN, n - j0);
-      if (mr == kTileM && nr == kTileN) {
-#if HCRL_GEMM_VECTOR_EXT
-        // Hot full tile, explicit 16-byte vectors: each accumulator lane
-        // runs its element's products in increasing k order with one
-        // mul + one add per k — bit-identical to the scalar loops below.
-        typedef S V __attribute__((vector_size(16)));
-        constexpr std::size_t kLanes = 16 / sizeof(S);
-        constexpr std::size_t kNV = kTileN / kLanes;
-        V acc[kTileM][kNV] = {};
-        for (std::size_t k = 0; k < kk; ++k) {
-          const S* brow = bkn + k * ldb + j0;
-          V bv[kNV];
-          for (std::size_t v = 0; v < kNV; ++v) {
-            __builtin_memcpy(&bv[v], brow + v * kLanes, sizeof(V));
-          }
-          for (std::size_t ii = 0; ii < kTileM; ++ii) {
-            const S aik = a[(i0 + ii) * lda + k];
-            V av = {};
-            for (std::size_t l = 0; l < kLanes; ++l) av[l] = aik;
-            for (std::size_t v = 0; v < kNV; ++v) acc[ii][v] += av * bv[v];
-          }
-        }
-        for (std::size_t ii = 0; ii < kTileM; ++ii) {
-          S* crow = c + (i0 + ii) * ldc + j0;
-          for (std::size_t v = 0; v < kNV; ++v) {
-            if constexpr (kOverwrite) {
-              __builtin_memcpy(crow + v * kLanes, &acc[ii][v], sizeof(V));
-            } else {
-              V cv;
-              __builtin_memcpy(&cv, crow + v * kLanes, sizeof(V));
-              cv += acc[ii][v];
-              __builtin_memcpy(crow + v * kLanes, &cv, sizeof(V));
-            }
-          }
-        }
-#else
-        // Hot full tile, portable scalar form: fixed trip counts unroll and
-        // keep acc in registers.
-        S acc[kTileM][kTileN] = {};
-        for (std::size_t k = 0; k < kk; ++k) {
-          const S* brow = bkn + k * ldb + j0;
-          for (std::size_t ii = 0; ii < kTileM; ++ii) {
-            const S aik = a[(i0 + ii) * lda + k];
-            for (std::size_t jj = 0; jj < kTileN; ++jj) acc[ii][jj] += aik * brow[jj];
-          }
-        }
-        for (std::size_t ii = 0; ii < kTileM; ++ii) {
-          S* crow = c + (i0 + ii) * ldc + j0;
-          for (std::size_t jj = 0; jj < kTileN; ++jj) {
-            if constexpr (kOverwrite) {
-              crow[jj] = acc[ii][jj];
-            } else {
-              crow[jj] += acc[ii][jj];
-            }
-          }
-        }
-#endif
-      } else {
-        // Edge tile: same structure with runtime trip counts — loads stay
-        // contiguous and accumulation order is identical.
-        S acc[kTileM][kTileN] = {};
-        for (std::size_t k = 0; k < kk; ++k) {
-          const S* brow = bkn + k * ldb + j0;
-          for (std::size_t ii = 0; ii < mr; ++ii) {
-            const S aik = a[(i0 + ii) * lda + k];
-            for (std::size_t jj = 0; jj < nr; ++jj) acc[ii][jj] += aik * brow[jj];
-          }
-        }
-        for (std::size_t ii = 0; ii < mr; ++ii) {
-          S* crow = c + (i0 + ii) * ldc + j0;
-          for (std::size_t jj = 0; jj < nr; ++jj) {
-            if constexpr (kOverwrite) {
-              crow[jj] = acc[ii][jj];
-            } else {
-              crow[jj] += acc[ii][jj];
-            }
-          }
-        }
-      }
-    }
+#if HCRL_GEMM_HAVE_AVX2
+  if (gemm_isa() == GemmIsa::kAvx2) {
+    tile_mul_add_32<kOverwrite>(a, lda, bkn, ldb, c, ldc, m, kk, n);
+    return;
   }
+#endif
+  tile_mul_add_body<16, kOverwrite>(a, lda, bkn, ldb, c, ldc, m, kk, n);
 }
 
-// Serial driver: c (m x n) = or += a (m x kk) * bkn (kk x n), all row-major
-// and densely packed. Shapes that fit one panel (every NN layer in this
-// project) take the single tile_mul_add call, preserving the exact
-// per-element accumulation order the parity tests pin down; larger shapes
-// are split into panels, which regroups each element's k-chain into
-// per-panel partial sums (same k order, different rounding breaks — well
-// inside the parity budget).
+// Serial driver: c (m x n) = or += a (m x kk) * bkn (kk x n), a and c
+// densely packed, bkn with row stride ldb. Shapes that fit one panel (every
+// NN layer in this project) take the single tile_mul_add call, preserving
+// the exact per-element accumulation order the parity tests pin down;
+// larger shapes are split into panels, which regroups each element's
+// k-chain into per-panel partial sums (same k order, different rounding
+// breaks — well inside the parity budget).
 template <class S>
-void tile_mul_serial(const S* a, const S* bkn, S* c, std::size_t m, std::size_t kk, std::size_t n,
-                     bool accumulate) {
+void tile_mul_serial(const S* a, const S* bkn, std::size_t ldb, S* c, std::size_t m,
+                     std::size_t kk, std::size_t n, bool accumulate) {
   constexpr std::size_t kKBlock = Panel<S>::kK;
   constexpr std::size_t kNBlock = Panel<S>::kN;
   if (kk <= kKBlock && n <= kNBlock) {
     if (accumulate) {
-      tile_mul_add<false>(a, kk, bkn, n, c, n, m, kk, n);
+      tile_mul_add<false>(a, kk, bkn, ldb, c, n, m, kk, n);
     } else {
-      tile_mul_add<true>(a, kk, bkn, n, c, n, m, kk, n);
+      tile_mul_add<true>(a, kk, bkn, ldb, c, n, m, kk, n);
     }
     return;
   }
   for (std::size_t j0 = 0; j0 < n; j0 += kNBlock) {
     const std::size_t nb = std::min(kNBlock, n - j0);
-    for (std::size_t k0 = 0; k0 < kk; k0 += kKBlock) {
+    // k0 = 0 always runs, so an overwrite with kk == 0 still writes zeros.
+    for (std::size_t k0 = 0; k0 == 0 || k0 < kk; k0 += kKBlock) {
       const std::size_t kb = std::min(kKBlock, kk - k0);
-      const bool first = k0 == 0 && !accumulate;
-      if (first) {
-        tile_mul_add<true>(a + k0, kk, bkn + k0 * n + j0, n, c + j0, n, m, kb, nb);
+      const S* panel = bkn + k0 * ldb + j0;
+      if (k0 == 0 && !accumulate) {
+        tile_mul_add<true>(a + k0, kk, panel, ldb, c + j0, n, m, kb, nb);
       } else {
-        tile_mul_add<false>(a + k0, kk, bkn + k0 * n + j0, n, c + j0, n, m, kb, nb);
+        tile_mul_add<false>(a + k0, kk, panel, ldb, c + j0, n, m, kb, nb);
       }
     }
   }
+}
+
+// --- kernel ISA -------------------------------------------------------------
+
+GemmIsa supported_isa(GemmIsa want) noexcept {
+#if HCRL_GEMM_HAVE_AVX2
+  if (want == GemmIsa::kAvx2 && __builtin_cpu_supports("avx2")) return GemmIsa::kAvx2;
+#endif
+  return GemmIsa::kSse2;
+}
+
+GemmIsa gemm_isa_from_env() {
+  const char* env = std::getenv("HCRL_GEMM_ISA");
+  const bool sse2 = env != nullptr && std::string_view(env) == "sse2";
+  return supported_isa(sse2 ? GemmIsa::kSse2 : GemmIsa::kAvx2);
+}
+
+std::atomic<GemmIsa>& gemm_isa_setting() {
+  static std::atomic<GemmIsa> setting{gemm_isa_from_env()};
+  return setting;
 }
 
 // --- GEMM worker pool -----------------------------------------------------
@@ -537,8 +611,8 @@ void count_gemm(std::size_t m, std::size_t kk, std::size_t n) noexcept {
 // kernel over its row range and every output row keeps its full k reduction
 // on one thread, so the result is bit-identical to the serial path.
 template <class S>
-void tile_mul(const S* a, const S* bkn, S* c, std::size_t m, std::size_t kk, std::size_t n,
-              bool accumulate) {
+void tile_mul(const S* a, const S* bkn, std::size_t ldb, S* c, std::size_t m, std::size_t kk,
+              std::size_t n, bool accumulate) {
   const std::size_t threads = gemm_threads();
   if (threads > 1 && m >= 2 * Tile<S>::kM && m * kk * n >= kMinMacsPerThread * 2) {
     const std::size_t want =
@@ -551,12 +625,12 @@ void tile_mul(const S* a, const S* bkn, S* c, std::size_t m, std::size_t kk, std
       GemmPool::instance().run(nchunks, [&](std::size_t chunk) {
         const std::size_t i0 = chunk * rows_per;
         const std::size_t i1 = std::min(i0 + rows_per, m);
-        tile_mul_serial(a + i0 * kk, bkn, c + i0 * n, i1 - i0, kk, n, accumulate);
+        tile_mul_serial(a + i0 * kk, bkn, ldb, c + i0 * n, i1 - i0, kk, n, accumulate);
       });
       return;
     }
   }
-  tile_mul_serial(a, bkn, c, m, kk, n, accumulate);
+  tile_mul_serial(a, bkn, ldb, c, m, kk, n, accumulate);
 }
 
 // gemm_nt's small-batch kernel: c (kM x n) = or += a (kM x kk) * b^T, with
@@ -567,9 +641,10 @@ void tile_mul(const S* a, const S* bkn, S* c, std::size_t m, std::size_t kk, std
 // (0 + p0 + p1 + ...) and lands on C with a single store or add, exactly
 // like the micro-kernel, so results are identical. Tail columns run the
 // same k-ordered sum as a scalar dot product.
-template <std::size_t kM, class S>
-void small_nt_rows(const S* a, const S* b, S* c, std::size_t kk, std::size_t n,
-                   bool accumulate) {
+template <std::size_t kBytes, std::size_t kM, class S>
+[[gnu::always_inline]] inline void small_nt_rows_body(const S* a, const S* b, S* c,
+                                                      std::size_t kk, std::size_t n,
+                                                      bool accumulate) {
   auto store = [&](S* dst, S acc) {
     if (accumulate) {
       *dst += acc;
@@ -578,15 +653,19 @@ void small_nt_rows(const S* a, const S* b, S* c, std::size_t kk, std::size_t n,
     }
   };
   std::size_t j0 = 0;
-#if HCRL_GEMM_VECTOR_EXT
-  typedef S V __attribute__((vector_size(16)));
-  constexpr std::size_t kLanes = 16 / sizeof(S);
+  typedef S V __attribute__((vector_size(kBytes)));
+  constexpr std::size_t kLanes = kBytes / sizeof(S);
   // Independent accumulator chains hide the add latency; one row gets more
-  // of them, since its block has no other rows to interleave with.
-  constexpr std::size_t kNV = kM == 1 ? 4 : 2;
+  // of them, since its block has no other rows to interleave with. A column
+  // block spans 64 (one row) or 32 bytes at every vector width, so the wider
+  // kernel leaves no more columns to the scalar tail.
+  constexpr std::size_t kNV = (kM == 1 ? 64 : 32) / kBytes;
   constexpr std::size_t kCols = kLanes * kNV;
   for (; j0 + kCols <= n; j0 += kCols) {
-    V acc[kM][kNV] = {};
+    V acc[kM][kNV];
+    for (auto& row : acc) {
+      for (V& v : row) v = V{};
+    }
     const S* bj = b + j0 * kk;
     for (std::size_t k = 0; k < kk; ++k) {
       V bv[kNV];
@@ -596,10 +675,8 @@ void small_nt_rows(const S* a, const S* b, S* c, std::size_t kk, std::size_t n,
         __builtin_memcpy(&bv[v], lanes, sizeof(V));
       }
       for (std::size_t i = 0; i < kM; ++i) {
-        const S aik = a[i * kk + k];
-        V av = {};
-        for (std::size_t l = 0; l < kLanes; ++l) av[l] = aik;
-        for (std::size_t v = 0; v < kNV; ++v) acc[i][v] += av * bv[v];
+        const S aik = a[i * kk + k];  // broadcast to every lane
+        for (std::size_t v = 0; v < kNV; ++v) acc[i][v] += aik * bv[v];
       }
     }
     for (std::size_t i = 0; i < kM; ++i) {
@@ -609,7 +686,6 @@ void small_nt_rows(const S* a, const S* b, S* c, std::size_t kk, std::size_t n,
       }
     }
   }
-#endif
   for (std::size_t i = 0; i < kM; ++i) {
     const S* arow = a + i * kk;
     for (std::size_t j = j0; j < n; ++j) {
@@ -619,6 +695,33 @@ void small_nt_rows(const S* a, const S* b, S* c, std::size_t kk, std::size_t n,
       store(c + i * n + j, acc);
     }
   }
+}
+
+#if HCRL_GEMM_HAVE_AVX2
+template <std::size_t kM, class S>
+__attribute__((target("avx2"))) void small_nt_rows_32(const S* a, const S* b, S* c,
+                                                      std::size_t kk, std::size_t n,
+                                                      bool accumulate) {
+  small_nt_rows_body<32, kM>(a, b, c, kk, n, accumulate);
+}
+#endif
+
+// One row stays on 16-byte vectors: its 32-byte gather of kk-strided B
+// values measured slower than two 16-byte ones (f64 1x30x120, the batch-1
+// LSTM step: 1.0 -> 1.1 us); two and three rows gain (f64 3x84x128, the
+// K = 3 head sweep of one decision: 7.1 -> 4.1 us).
+template <std::size_t kM, class S>
+void small_nt_rows(const S* a, const S* b, S* c, std::size_t kk, std::size_t n,
+                   bool accumulate) {
+#if HCRL_GEMM_HAVE_AVX2
+  if constexpr (kM > 1) {
+    if (gemm_isa() == GemmIsa::kAvx2) {
+      small_nt_rows_32<kM>(a, b, c, kk, n, accumulate);
+      return;
+    }
+  }
+#endif
+  small_nt_rows_body<16, kM>(a, b, c, kk, n, accumulate);
 }
 
 }  // namespace
@@ -631,6 +734,12 @@ void set_gemm_threads(std::size_t n) noexcept {
 std::size_t gemm_threads() noexcept {
   return gemm_thread_setting().load(std::memory_order_relaxed);
 }
+
+void set_gemm_isa(GemmIsa isa) noexcept {
+  gemm_isa_setting().store(supported_isa(isa), std::memory_order_relaxed);
+}
+
+GemmIsa gemm_isa() noexcept { return gemm_isa_setting().load(std::memory_order_relaxed); }
 
 template <class S>
 void gemm(const MatrixT<S>& A, const MatrixT<S>& B, MatrixT<S>& C, bool accumulate) {
@@ -664,8 +773,10 @@ void gemm(const MatrixT<S>& A, const MatrixT<S>& B, MatrixT<S>& C, bool accumula
     }
     return;
   }
-  // B is already (kk x n) row-major — the micro-kernel's native layout.
-  tile_mul(A.data(), B.data(), C.data(), m, kk, n, accumulate);
+  // B is already (kk x n) row-major — the micro-kernel's native layout,
+  // once its rows are padded to whole micro-tiles.
+  tile_mul(A.data(), padded_b(B.data(), kk, n), padded_cols<S>(n), C.data(), m, kk, n,
+           accumulate);
 }
 
 template <class S>
@@ -678,11 +789,11 @@ void gemm_tn(const MatrixT<S>& A, const MatrixT<S>& B, MatrixT<S>& C, bool accum
   prepare_output(C, m, n, accumulate, "gemm_tn");
   count_gemm(m, kk, n);
   // Pack A^T (m x kk) once — O(m*kk), amortized over the m*kk*n kernel work.
-  auto& scratch = pack_scratch<S>();
+  auto& scratch = pack_scratch<S, 0>();
   scratch.resize(m * kk);
   S* at = scratch.data();
-  pack_transpose(A.data(), at, m, kk);
-  tile_mul(at, B.data(), C.data(), m, kk, n, accumulate);
+  pack_transpose(A.data(), at, m, kk, kk);
+  tile_mul(at, padded_b(B.data(), kk, n), padded_cols<S>(n), C.data(), m, kk, n, accumulate);
 }
 
 template <class S>
@@ -697,14 +808,16 @@ void gemm_nt(const MatrixT<S>& A, const MatrixT<S>& B, MatrixT<S>& C, bool accum
   const S* a = A.data();
   const S* b = B.data();
   S* c = C.data();
-  // Batched path: pack B^T (kk x n) once — amortized across the m batch
-  // rows — then run the register-tiled micro-kernel.
+  // Batched path: pack B^T (kk x n, rows padded to whole micro-tiles) once
+  // — amortized across the m batch rows — then run the register-tiled
+  // micro-kernel.
   if (m >= Tile<S>::kM) {
-    auto& scratch = pack_scratch<S>();
-    scratch.resize(kk * n);
+    const std::size_t ld = padded_cols<S>(n);
+    auto& scratch = pack_scratch<S, 1>();
+    scratch.resize(kk * ld);
     S* bt = scratch.data();
-    pack_transpose(b, bt, kk, n);
-    tile_mul(a, bt, c, m, kk, n, accumulate);
+    pack_transpose(b, bt, kk, n, ld);
+    tile_mul(a, bt, ld, c, m, kk, n, accumulate);
     return;
   }
   // Small-batch path: skipping the pack is cheaper below the tile height.

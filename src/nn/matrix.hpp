@@ -144,6 +144,22 @@ void set_gemm_threads(std::size_t n) noexcept;
 /// environment variable (default 1).
 std::size_t gemm_threads() noexcept;
 
+// --- kernel ISA -------------------------------------------------------------
+//
+// The GEMM micro-kernel is compiled twice: on 16-byte vectors (SSE2, the
+// x86-64 baseline; plain GNU vectors elsewhere) and, on x86, on 32-byte AVX2
+// vectors. Both run the same tile shapes and the same k-ordered mul-then-add
+// chain per output element, so they produce BIT-IDENTICAL results; the
+// choice only moves speed. The knob is process-global.
+
+enum class GemmIsa { kSse2, kAvx2 };
+
+/// Select the kernel; kAvx2 on a CPU without AVX2 selects kSse2.
+void set_gemm_isa(GemmIsa isa) noexcept;
+/// Current kernel; initialized once to the widest the CPU supports, or to
+/// kSse2 when the HCRL_GEMM_ISA environment variable is "sse2".
+GemmIsa gemm_isa() noexcept;
+
 // --- small Vec helpers used throughout the nn/ and core/ code -------------
 
 /// X += Y elementwise (shapes must match).

@@ -59,6 +59,12 @@ void load_params(std::istream& in, const std::vector<ParamBlockPtrT<S>>& params)
                                   " is not finite at this precision");
     }
   }
+  // A checkpoint holds exactly the declared count: a duplicated or stray
+  // value line would otherwise load silently, shifted into the wrong slots.
+  if (!(in >> std::ws).eof()) {
+    throw std::invalid_argument("load_params: trailing data after " + std::to_string(total) +
+                                " values");
+  }
   const S* next = staged.data();
   for (auto& s : segs) {
     std::copy(next, next + s.n, s.value);

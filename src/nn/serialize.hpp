@@ -24,8 +24,9 @@ template <class S>
 void save_params_file(const std::string& path, const std::vector<ParamBlockPtrT<S>>& params);
 
 /// Throws std::invalid_argument on a header/size mismatch, a truncated or
-/// unparsable stream, or a value that is not finite at precision S; the
-/// parameters are written only after the whole stream has parsed.
+/// unparsable stream, anything but whitespace after the last value, or a
+/// value that is not finite at precision S; the parameters are written only
+/// after the whole stream has parsed.
 template <class S>
 void load_params(std::istream& in, const std::vector<ParamBlockPtrT<S>>& params);
 template <class S>

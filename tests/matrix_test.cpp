@@ -4,9 +4,11 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <initializer_list>
 #include <stdexcept>
+#include <string>
 
 #include "src/common/rng.hpp"
 #include "src/telemetry/registry.hpp"
@@ -302,6 +304,107 @@ void check_small_batch_nt() {
 TEST(Gemm, SmallBatchNtMatchesKOrderedDotBitForBit) {
   check_small_batch_nt<double>();
   check_small_batch_nt<float>();
+}
+
+enum class GemmOp { kNN, kTN, kNT };
+
+// Restores the process-wide kernel ISA when a test that pins it ends.
+class GemmIsaGuard {
+ public:
+  GemmIsaGuard() : saved_(gemm_isa()) {}
+  ~GemmIsaGuard() { set_gemm_isa(saved_); }
+  GemmIsaGuard(const GemmIsaGuard&) = delete;
+  GemmIsaGuard& operator=(const GemmIsaGuard&) = delete;
+
+ private:
+  GemmIsa saved_;
+};
+
+template <class S>
+void check_isas_against_k_ordered_reference() {
+  // Each output element is the k-ordered chain 0 + p0 + p1 + ... landing on
+  // C with one store or add, whatever the kernel's vector width. Shapes
+  // cover full and partial-width tiles, edge rows (m % 4 != 0), the
+  // small-batch paths (m < 4) and the panel path (kk or n past one panel).
+  // The panel path splits each chain at Panel::kK (192 at f64, 256 at f32)
+  // and adds the partial sums into C in k order; the small-batch gemm
+  // (overwrite) and gemm_nt paths run one unbroken chain.
+  const std::size_t panel_k = sizeof(S) == sizeof(double) ? 192 : 256;
+  GemmIsaGuard guard;
+  common::Rng rng(23);
+  for (const GemmOp op : {GemmOp::kNN, GemmOp::kTN, GemmOp::kNT}) {
+    for (const std::size_t m : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 96u}) {
+      for (const std::size_t n : {1u,  2u,  3u,  4u,  5u,  6u,  7u,  8u,   9u,   10u, 11u,
+                                  12u, 13u, 14u, 15u, 16u, 17u, 30u, 84u, 128u, 300u}) {
+        for (const std::size_t kk : {0u, 1u, 5u, 84u, 200u}) {
+          for (const bool accumulate : {false, true}) {
+            SCOPED_TRACE(testing::Message() << "op " << static_cast<int>(op) << " " << m << "x"
+                                            << kk << "x" << n << " acc=" << accumulate);
+            MatrixT<S> A = op == GemmOp::kTN ? MatrixT<S>(kk, m) : MatrixT<S>(m, kk);
+            MatrixT<S> B = op == GemmOp::kNT ? MatrixT<S>(n, kk) : MatrixT<S>(kk, n);
+            MatrixT<S> C0(m, n);
+            for (MatrixT<S>* M : {&A, &B, &C0}) {
+              for (std::size_t i = 0; i < M->size(); ++i) {
+                M->data()[i] = static_cast<S>(rng.uniform(-2, 2));
+              }
+            }
+            auto a = [&](std::size_t i, std::size_t k) { return op == GemmOp::kTN ? A(k, i) : A(i, k); };
+            auto b = [&](std::size_t k, std::size_t j) { return op == GemmOp::kNT ? B(j, k) : B(k, j); };
+            const bool unbroken = m < 4 && (op == GemmOp::kNT || (op == GemmOp::kNN && !accumulate));
+            const std::size_t block = unbroken ? kk + 1 : panel_k;
+            MatrixT<S> expected = C0;
+            for (std::size_t i = 0; i < m; ++i) {
+              for (std::size_t j = 0; j < n; ++j) {
+                S& out = expected(i, j);
+                if (!accumulate) out = S(0);
+                for (std::size_t k0 = 0; k0 == 0 || k0 < kk; k0 += block) {
+                  S chain = S(0);
+                  for (std::size_t k = k0; k < std::min(kk, k0 + block); ++k) chain += a(i, k) * b(k, j);
+                  out = !accumulate && k0 == 0 ? chain : out + chain;
+                }
+              }
+            }
+            for (const GemmIsa isa : {GemmIsa::kSse2, GemmIsa::kAvx2}) {
+              set_gemm_isa(isa);
+              MatrixT<S> C = C0;
+              switch (op) {
+                case GemmOp::kNN: gemm(A, B, C, accumulate); break;
+                case GemmOp::kTN: gemm_tn(A, B, C, accumulate); break;
+                case GemmOp::kNT: gemm_nt(A, B, C, accumulate); break;
+              }
+              for (std::size_t i = 0; i < C.size(); ++i) {
+                ASSERT_TRUE(same_bits(C.data()[i], expected.data()[i]))
+                    << "isa " << static_cast<int>(gemm_isa()) << " element " << i;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Gemm, EveryKernelIsaMatchesKOrderedReferenceBitForBit) {
+  // On a CPU without AVX2 the second pass re-runs the 16-byte kernel.
+  check_isas_against_k_ordered_reference<double>();
+  check_isas_against_k_ordered_reference<float>();
+}
+
+TEST(Gemm, IsaSettingFollowsTheCpuAndTheEnvironment) {
+#if defined(__x86_64__) || defined(__i386__)
+  const GemmIsa widest = __builtin_cpu_supports("avx2") ? GemmIsa::kAvx2 : GemmIsa::kSse2;
+#else
+  const GemmIsa widest = GemmIsa::kSse2;
+#endif
+  // Every test that pins the ISA restores it, so this is the start-up value.
+  const char* env = std::getenv("HCRL_GEMM_ISA");
+  const bool forced_sse2 = env != nullptr && std::string(env) == "sse2";
+  EXPECT_EQ(gemm_isa(), forced_sse2 ? GemmIsa::kSse2 : widest);
+  GemmIsaGuard guard;
+  set_gemm_isa(GemmIsa::kSse2);
+  EXPECT_EQ(gemm_isa(), GemmIsa::kSse2);
+  set_gemm_isa(GemmIsa::kAvx2);  // falls back to kSse2 without AVX2
+  EXPECT_EQ(gemm_isa(), widest);
 }
 
 TEST(Gemm, EveryEntryPointIsCounted) {

@@ -4,7 +4,9 @@
 // online serving).
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -133,34 +135,66 @@ TEST(DrlPersistence, LoadIntoMismatchedArchitectureFails) {
   EXPECT_THROW(b.load_model(path), std::invalid_argument);
 }
 
-// A checkpoint that stops halfway must throw before any parameter is
-// written: a failed load leaves the model exactly as it was, at either
-// precision.
-TEST(DrlPersistence, TruncatedCheckpointLeavesTheModelUnchanged) {
-  const std::string path = testing::TempDir() + "/hcrl_drl_model_full.txt";
-  const std::string cut = testing::TempDir() + "/hcrl_drl_model_cut.txt";
-  DrlAllocator(small_opts()).save_model(path);
-  {
-    std::ifstream in(path);
-    std::ofstream out(cut);
-    std::string line;
-    std::vector<std::string> lines;
-    while (std::getline(in, line)) lines.push_back(line);
-    for (std::size_t i = 0; i < lines.size() / 2; ++i) out << lines[i] << "\n";
-  }
+// Writes the checkpoint at `from` to `to` with its lines passed through edit.
+void rewrite_checkpoint(const std::string& from, const std::string& to,
+                        const std::function<void(std::vector<std::string>&)>& edit) {
+  std::ifstream in(from);
+  std::vector<std::string> lines;
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  edit(lines);
+  std::ofstream out(to);
+  for (const auto& l : lines) out << l << "\n";
+}
+
+// Loading `path` must throw before any parameter is written: a failed load
+// leaves the model exactly as it was, at either precision.
+void expect_rejected_with_model_unchanged(const std::string& path) {
   for (const nn::Precision precision : {nn::Precision::kF64, nn::Precision::kF32}) {
     DrlAllocatorOptions o = small_opts();
     o.seed = 99;
     o.qnet.precision = precision;
     DrlAllocator alloc(o);
     const std::vector<double> before = alloc.network().param_values();
-    EXPECT_THROW(alloc.load_model(cut), std::invalid_argument) << nn::to_string(precision);
+    EXPECT_THROW(alloc.load_model(path), std::invalid_argument) << nn::to_string(precision);
     const std::vector<double> after = alloc.network().param_values();
     ASSERT_EQ(after.size(), before.size());
     std::size_t changed = 0;
     for (std::size_t i = 0; i < after.size(); ++i) changed += after[i] != before[i] ? 1 : 0;
     EXPECT_EQ(changed, 0u) << "of " << after.size() << " at " << nn::to_string(precision);
   }
+}
+
+TEST(DrlPersistence, TruncatedCheckpointLeavesTheModelUnchanged) {
+  const std::string path = testing::TempDir() + "/hcrl_drl_model_full.txt";
+  const std::string cut = testing::TempDir() + "/hcrl_drl_model_cut.txt";
+  DrlAllocator(small_opts()).save_model(path);
+  rewrite_checkpoint(path, cut, [](std::vector<std::string>& lines) {
+    lines.resize(lines.size() / 2);
+  });
+  expect_rejected_with_model_unchanged(cut);
+}
+
+// One value line written twice leaves the declared count of values before
+// the end of the file; loading them would shift every later parameter into
+// its neighbour's slot, so the extra line must be rejected.
+TEST(DrlPersistence, DuplicatedValueLineIsRejected) {
+  const std::string path = testing::TempDir() + "/hcrl_drl_model_dup_src.txt";
+  const std::string dup = testing::TempDir() + "/hcrl_drl_model_dup.txt";
+  DrlAllocator(small_opts()).save_model(path);
+  rewrite_checkpoint(path, dup, [](std::vector<std::string>& lines) {
+    const std::size_t mid = lines.size() / 2;  // a value line, past the header
+    lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(mid), lines[mid]);
+  });
+  expect_rejected_with_model_unchanged(dup);
+  // Trailing whitespace alone is not extra data.
+  const std::string padded = testing::TempDir() + "/hcrl_drl_model_ws.txt";
+  rewrite_checkpoint(path, padded, [](std::vector<std::string>& lines) {
+    lines.push_back("");
+    lines.push_back("  ");
+  });
+  DrlAllocator alloc(small_opts());
+  EXPECT_NO_THROW(alloc.load_model(padded));
 }
 
 }  // namespace
